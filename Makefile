@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build xcompile test race bench bench-json bench-diff batch-smoke chaos chaos-smoke fuzz genstubs fmt vet analyze ci
+.PHONY: all build xcompile test race bench bench-json bench-diff batch-smoke chaos chaos-smoke fuzz genstubs fmt vet analyze perfbench ci
 
 all: build
 
@@ -135,6 +135,12 @@ analyze:
 	$(GO) vet -vettool=$(CURDIR)/.specvet.bin ./...
 	rm -f .specvet.bin
 
+# The repository benchmark (perfbench/) is its own module, so the root
+# build and tests never compile it; vet and test it here so an API change
+# in wire, client or server cannot break the benchmark unnoticed.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 fmt:
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then \
@@ -144,4 +150,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet analyze build xcompile race bench genstubs bench-diff batch-smoke chaos chaos-smoke fuzz
+ci: fmt vet analyze build xcompile race perfbench bench genstubs bench-diff batch-smoke chaos chaos-smoke fuzz

@@ -259,7 +259,7 @@ func BenchmarkLiveFusedDecode(b *testing.B) {
 // compiledBenchCodecs builds the compiled whole-call codecs the live
 // compiled series runs on, failing if the generated registration is
 // missing (the silent fallback would quietly re-measure the fused path).
-func compiledBenchCodecs(tb testing.TB) (*wire.CompiledCallCodec, *wire.CompiledReplyCodec, *wire.CompiledReplyCodec) {
+func compiledBenchCodecs(tb testing.TB) (*wire.CallCodec, *wire.ReplyCodec, *wire.ReplyCodec) {
 	tb.Helper()
 	tmpl, err := rpcmsg.NewCallTemplate(liveProg, liveVers, rpcmsg.None(), rpcmsg.None())
 	if err != nil {

@@ -115,16 +115,6 @@ type Config struct {
 	// batched calls (CallBatched) still queue, they just flush one record
 	// per Write.
 	NoBatch bool
-	// MaxFlushDelay, when positive, lets the stream transport's group-
-	// commit leader wait this long for concurrent calls to queue behind
-	// it before the first vectored write (xdr.RecBatcher.MaxFlushDelay).
-	// Group commit alone only coalesces requests issued while the leader
-	// is inside the write syscall, so at shallow pipeline depth on an
-	// idle host batches stay near one record; a bounded delay buys
-	// coalescing there at the price of up to the delay added per call.
-	// 0 (the default) writes immediately. Ignored over UDP and with
-	// NoBatch.
-	MaxFlushDelay time.Duration
 	// Retry selects policy-driven retransmission and retry: over UDP the
 	// fixed Retransmit tick becomes exponential backoff with full jitter
 	// under a token-bucket budget; over TCP (with Redial set) calls that
@@ -332,44 +322,31 @@ func registerCall(xid *atomic.Uint32, dmx *demux) (uint32, chan *[]byte, error) 
 // callTemplate compiles the per-client header template: Prog, Vers,
 // Cred, and Verf are constant for a client's lifetime, so the header
 // bytes are folded once and only the XID and procedure number are
-// patched per call. A nil result (auth material the template compiler
-// rejects — which the generic encoder rejects too) selects the generic
-// interpretive path in marshalCall.
-func callTemplate(cfg *Config) *rpcmsg.CallTemplate {
+// patched per call. It fails only on auth material that
+// rpcmsg.CallHeader.Marshal rejects too; the client keeps that error
+// and every call returns it.
+func callTemplate(cfg *Config) (*rpcmsg.CallTemplate, error) {
 	t, err := rpcmsg.NewCallTemplate(cfg.Prog, cfg.Vers, cfg.Cred, rpcmsg.None())
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("client: marshal call header: %w", err)
 	}
-	return t
+	return t, nil
 }
 
 // marshalCall encodes the call header and arguments into a pooled
 // buffer, leaving prefix reserved bytes at its head (the TCP transport
 // reserves the record mark there, so the record layer frames and writes
-// the message without copying it again). With a template the header is
-// one copy plus two 4-byte stores; without one it runs the generic
-// encoder. Both produce byte-identical headers. The returned buffer
-// must go back via xdr.PutBuf.
+// the message without copying it again). The header is one copy of
+// tmpl plus two 4-byte stores. The returned buffer must go back via
+// xdr.PutBuf.
 func marshalCall(cfg *Config, tmpl *rpcmsg.CallTemplate, xid, proc uint32, args Marshal, prefix int) (*[]byte, error) {
 	bp := xdr.GetBuf(cfg.BufSize + prefix)
 	buf := (*bp)[:prefix]
 	e := xdr.GetEnc(buf)
-	var err error
-	if tmpl != nil {
-		e.BS.SetBuffer(tmpl.AppendCall(buf, xid, proc))
-		if err = args(&e.X); err != nil {
-			err = fmt.Errorf("client: marshal args: %w", err)
-		}
-	} else {
-		hdr := rpcmsg.CallHeader{
-			XID: xid, Prog: cfg.Prog, Vers: cfg.Vers, Proc: proc,
-			Cred: cfg.Cred, Verf: rpcmsg.None(),
-		}
-		if err = hdr.Marshal(&e.X); err != nil {
-			err = fmt.Errorf("client: marshal call header: %w", err)
-		} else if err = args(&e.X); err != nil {
-			err = fmt.Errorf("client: marshal args: %w", err)
-		}
+	e.BS.SetBuffer(tmpl.AppendCall(buf, xid, proc))
+	err := args(&e.X)
+	if err != nil {
+		err = fmt.Errorf("client: marshal args: %w", err)
 	}
 	*bp = e.BS.Buffer() // keep any growth pooled
 	xdr.PutEnc(e)
@@ -385,7 +362,7 @@ func marshalCall(cfg *Config, tmpl *rpcmsg.CallTemplate, xid, proc uint32, args 
 // whole-call codec pass). Exactly one is set.
 type callReq struct {
 	args Marshal
-	cc   wire.CallAppender
+	cc   *wire.CallCodec
 	argp unsafe.Pointer
 }
 
@@ -393,8 +370,12 @@ type callReq struct {
 // prefix reserved bytes at its head. The fused path reserves header and
 // fixed-size argument bytes in one bounds check and stamps the XID into
 // the image; the closure path is marshalCall unchanged. Both produce
-// byte-identical messages.
-func marshalReq(cfg *Config, tmpl *rpcmsg.CallTemplate, r callReq, xid, proc uint32, prefix int) (*[]byte, error) {
+// byte-identical messages. tmplErr is the client's callTemplate error,
+// returned in place of any message when the header cannot compile.
+func marshalReq(cfg *Config, tmpl *rpcmsg.CallTemplate, tmplErr error, r callReq, xid, proc uint32, prefix int) (*[]byte, error) {
+	if tmplErr != nil {
+		return nil, tmplErr
+	}
 	if r.cc == nil {
 		return marshalCall(cfg, tmpl, xid, proc, r.args, prefix)
 	}
@@ -417,7 +398,7 @@ func marshalReq(cfg *Config, tmpl *rpcmsg.CallTemplate, r callReq, xid, proc uin
 // failure detail is identical on both paths.
 type replySink struct {
 	fn   Marshal
-	rc   wire.ReplyDecoder
+	rc   *wire.ReplyCodec
 	resc *wire.Codec // fallback result codec; nil for void results
 	resp unsafe.Pointer
 }
@@ -506,7 +487,7 @@ func drainReply(ch chan *[]byte, sink *replySink) (bool, error) {
 // first typed use of each (procedure, plan pair): the call side fuses
 // the client's header template with the argument plan, the reply side
 // wraps the result plan for direct decode. An entry with no codecs
-// records that its plan pair cannot fuse (exotic auth, generic-mode
+// records that its plan pair cannot fuse (no template, generic-mode
 // plans). The cache keys on the procedure and re-resolves when the
 // caller's plans differ from the cached pair, so the fusion decision
 // always belongs to the plans in hand, never to whichever caller
@@ -518,8 +499,8 @@ type plannedProcs struct {
 
 type plannedProc struct {
 	argc, resc *wire.Codec // identity of the plans the entry was compiled for
-	call       wire.CallAppender
-	rep        wire.ReplyDecoder // call == nil marks an unfusable pair
+	call       *wire.CallCodec
+	rep        *wire.ReplyCodec // call == nil marks an unfusable pair
 }
 
 // lookup resolves (compiling on first use, or when the plans changed)
@@ -549,36 +530,30 @@ func (ps *plannedProcs) lookup(tmpl *rpcmsg.CallTemplate, proc uint32, argc, res
 }
 
 // compilePlanned builds the fused entry for one plan pair; when the
-// pair must stay on the template+plan path — no template (auth material
-// the template compiler rejects) or interpretive-mode plans — the entry
-// carries no codecs and records the negative decision for that pair.
+// pair must stay on the template+plan path — interpretive-mode plans,
+// or no template, where every call fails anyway — the entry carries no
+// codecs and records the negative decision for that pair.
+// Each side runs on the rpcgen-emitted compiled engine when one is
+// registered for its plan and on the fused plan engine otherwise; the
+// message bytes are identical, only the marshaling engine changes.
 func compilePlanned(tmpl *rpcmsg.CallTemplate, proc uint32, argc, resc *wire.Codec) *plannedProc {
 	e := &plannedProc{argc: argc, resc: resc}
-	if tmpl == nil {
-		return e
+	// A nil template or a Generic-mode codec without a compiled routine
+	// fails its constructor, so no pre-check is needed here.
+	var err error
+	call := wire.NewCompiledCallCodec(tmpl, proc, argc)
+	if call == nil {
+		if call, err = wire.NewCallCodec(tmpl, proc, argc); err != nil {
+			return e
+		}
 	}
-	// Generic-mode codecs are rejected by the constructors themselves
-	// (no flat program to fuse), so no mode pre-check is needed here.
-	call, err := wire.NewCallCodec(tmpl, proc, argc)
-	if err != nil {
-		return e
-	}
-	rep, err := wire.NewReplyCodec(nil, resc)
-	if err != nil {
-		return e
+	rep := wire.NewCompiledReplyCodec(nil, resc)
+	if rep == nil {
+		if rep, err = wire.NewReplyCodec(nil, resc); err != nil {
+			return e
+		}
 	}
 	e.call, e.rep = call, rep
-	// An rpcgen-emitted compiled codec registered for either plan takes
-	// precedence over the fused interpreter; the message bytes are
-	// identical, only the marshaling engine changes. The concrete values
-	// are checked for nil before the interface assignment so a missing
-	// registration can never plant a typed-nil appender.
-	if cc := wire.NewCompiledCallCodec(tmpl, proc, argc); cc != nil {
-		e.call = cc
-	}
-	if rc := wire.NewCompiledReplyCodec(nil, resc); rc != nil {
-		e.rep = rc
-	}
 	return e
 }
 
@@ -611,10 +586,11 @@ func checkReply(rh *rpcmsg.ReplyHeader) error {
 // call retransmits independently while a shared reader goroutine routes
 // replies.
 type UDP struct {
-	cfg    Config
-	tmpl   *rpcmsg.CallTemplate
-	conn   net.PacketConn
-	server net.Addr
+	cfg     Config
+	tmpl    *rpcmsg.CallTemplate
+	tmplErr error // callTemplate's error, returned by every call
+	conn    net.PacketConn
+	server  net.Addr
 
 	xid       atomic.Uint32
 	dmx       *demux
@@ -632,8 +608,8 @@ type UDP struct {
 // over conn. The caller retains ownership of conn's lifetime via Close.
 func NewUDP(conn net.PacketConn, server net.Addr, cfg Config) *UDP {
 	cfg.fill()
-	c := &UDP{cfg: cfg, tmpl: callTemplate(&cfg), conn: conn, server: server,
-		dmx: newDemux(), life: newLifecycle()}
+	c := &UDP{cfg: cfg, conn: conn, server: server, dmx: newDemux(), life: newLifecycle()}
+	c.tmpl, c.tmplErr = callTemplate(&cfg)
 	c.xid.Store(cfg.FirstXID)
 	if cfg.Retry != nil {
 		p := cfg.Retry.norm(cfg.Retransmit)
@@ -690,7 +666,7 @@ func (c *UDP) doCall(ctx context.Context, proc uint32, req callReq, sink replySi
 	}
 	defer c.dmx.unregister(xid)
 
-	reqBuf, err := marshalReq(&c.cfg, c.tmpl, req, xid, proc, 0)
+	reqBuf, err := marshalReq(&c.cfg, c.tmpl, c.tmplErr, req, xid, proc, 0)
 	if err != nil {
 		return err
 	}
@@ -876,8 +852,9 @@ func (c *UDP) Close() error { return c.life.closeOnce(c.conn, c.dmx) }
 // the one-write-per-record baseline). CallBatched queues fire-and-forget
 // requests on the same writer.
 type TCP struct {
-	cfg  Config
-	tmpl *rpcmsg.CallTemplate
+	cfg     Config
+	tmpl    *rpcmsg.CallTemplate
+	tmplErr error // callTemplate's error, returned by every call
 
 	xid     atomic.Uint32
 	planned plannedProcs
@@ -956,8 +933,6 @@ func (c *TCP) newConn(conn net.Conn) *tcpConn {
 	}
 	if c.cfg.NoBatch {
 		tc.batch.MaxBatch = 1
-	} else if c.cfg.MaxFlushDelay > 0 {
-		tc.batch.MaxFlushDelay = c.cfg.MaxFlushDelay
 	}
 	return tc
 }
@@ -968,7 +943,8 @@ func (c *TCP) newConn(conn net.Conn) *tcpConn {
 // a replacement generation transparently.
 func NewTCP(conn net.Conn, cfg Config) *TCP {
 	cfg.fill()
-	c := &TCP{cfg: cfg, tmpl: callTemplate(&cfg), life: newLifecycle(), redial: cfg.Redial}
+	c := &TCP{cfg: cfg, life: newLifecycle(), redial: cfg.Redial}
+	c.tmpl, c.tmplErr = callTemplate(&cfg)
 	c.xid.Store(cfg.FirstXID)
 	if cfg.Retry != nil || cfg.Redial != nil {
 		var p RetryPolicy
@@ -1232,7 +1208,7 @@ func (c *TCP) attemptOnce(ctx context.Context, proc uint32, req callReq, sink re
 	// The record mark is reserved at the head of the marshal buffer, so
 	// the record layer patches it in place and the whole call leaves in
 	// one Write — the message is never copied into the fragment buffer.
-	reqBuf, merr := marshalReq(&c.cfg, c.tmpl, req, xid, proc, xdr.RecordMarkLen)
+	reqBuf, merr := marshalReq(&c.cfg, c.tmpl, c.tmplErr, req, xid, proc, xdr.RecordMarkLen)
 	if merr != nil {
 		return true, merr, false
 	}
@@ -1343,7 +1319,7 @@ func (c *TCP) CallBatched(proc uint32, args Marshal) error {
 	// someone must drain those records off the connection.
 	tc.start(c)
 	xid := c.xid.Add(1)
-	reqBuf, err := marshalReq(&c.cfg, c.tmpl, callReq{args: args}, xid, proc, xdr.RecordMarkLen)
+	reqBuf, err := marshalReq(&c.cfg, c.tmpl, c.tmplErr, callReq{args: args}, xid, proc, xdr.RecordMarkLen)
 	if err != nil {
 		return err
 	}

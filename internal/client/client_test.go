@@ -80,8 +80,8 @@ func TestVoidMarshaler(t *testing.T) {
 
 // TestMarshalCallTemplateMatchesGeneric pins the tentpole property on
 // the client: the templated marshal path emits byte-identical requests
-// to the generic interpretive path, with and without a reserved record
-// mark prefix.
+// to the generic CallHeader.Marshal encoder, with and without a
+// reserved record mark prefix.
 func TestMarshalCallTemplateMatchesGeneric(t *testing.T) {
 	sysCred, err := (&rpcmsg.SysCred{Stamp: 1, MachineName: "pc", UID: 2, GID: 3}).Encode()
 	if err != nil {
@@ -90,9 +90,9 @@ func TestMarshalCallTemplateMatchesGeneric(t *testing.T) {
 	for _, cred := range []rpcmsg.OpaqueAuth{rpcmsg.None(), sysCred} {
 		cfg := Config{Prog: 0x20000099, Vers: 2, Cred: cred}
 		cfg.fill()
-		tmpl := callTemplate(&cfg)
-		if tmpl == nil {
-			t.Fatal("template compile failed for ordinary auth")
+		tmpl, err := callTemplate(&cfg)
+		if err != nil {
+			t.Fatalf("template compile failed for ordinary auth: %v", err)
 		}
 		args := func(x *xdr.XDR) error {
 			v := uint32(0xFEEDFACE)
@@ -102,38 +102,58 @@ func TestMarshalCallTemplateMatchesGeneric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, err := marshalCall(&cfg, nil, 77, 5, args, 0)
-		if err != nil {
+		ref := xdr.NewBufEncode(nil)
+		hdr := rpcmsg.CallHeader{XID: 77, Prog: cfg.Prog, Vers: cfg.Vers, Proc: 5,
+			Cred: cred, Verf: rpcmsg.None()}
+		if err := hdr.Marshal(xdr.NewEncoder(ref)); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(*spec, *gen) {
-			t.Fatalf("templated call diverged:\n got %x\nwant %x", *spec, *gen)
+		if err := args(xdr.NewEncoder(ref)); err != nil {
+			t.Fatal(err)
+		}
+		gen := ref.Buffer()
+		if !bytes.Equal(*spec, gen) {
+			t.Fatalf("templated call diverged:\n got %x\nwant %x", *spec, gen)
 		}
 		pre, err := marshalCall(&cfg, tmpl, 77, 5, args, xdr.RecordMarkLen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal((*pre)[xdr.RecordMarkLen:], *gen) {
+		if !bytes.Equal((*pre)[xdr.RecordMarkLen:], gen) {
 			t.Fatalf("prefixed call diverged after the mark:\n got %x\nwant %x",
-				(*pre)[xdr.RecordMarkLen:], *gen)
+				(*pre)[xdr.RecordMarkLen:], gen)
 		}
 		xdr.PutBuf(spec)
-		xdr.PutBuf(gen)
 		xdr.PutBuf(pre)
 	}
 }
 
 // TestMarshalCallOversizedAuthFallsBack: auth the template compiler
-// rejects must still fail identically through the generic path.
+// rejects, which CallHeader.Marshal rejects too, fails every call on
+// both transports, with the rpcmsg cause reachable through errors.Is.
 func TestMarshalCallOversizedAuthFallsBack(t *testing.T) {
 	cfg := Config{Prog: 1, Vers: 1,
 		Cred: rpcmsg.OpaqueAuth{Flavor: rpcmsg.AuthSys, Body: make([]byte, rpcmsg.MaxAuthBytes+1)}}
 	cfg.fill()
-	if tmpl := callTemplate(&cfg); tmpl != nil {
-		t.Fatal("oversized cred compiled to a template")
+	if tmpl, err := callTemplate(&cfg); tmpl != nil || !errors.Is(err, rpcmsg.ErrAuthTooBig) {
+		t.Fatalf("oversized cred: template %v, err %v", tmpl, err)
 	}
-	if _, err := marshalCall(&cfg, nil, 1, 1, Void, 0); err == nil {
-		t.Fatal("oversized cred marshaled")
+	udp := NewUDP(netsim.New().Attach("client"), netsim.Addr("server"), cfg)
+	defer udp.Close()
+	cconn, sconn := net.Pipe()
+	defer sconn.Close()
+	tcp := NewTCP(cconn, cfg)
+	defer tcp.Close()
+	for name, call := range map[string]func() error{
+		"udp":         func() error { return udp.Call(1, Void, Void) },
+		"tcp":         func() error { return tcp.Call(1, Void, Void) },
+		"tcp batched": func() error { return tcp.CallBatched(1, Void) },
+	} {
+		err := call()
+		if !errors.Is(err, rpcmsg.ErrAuthTooBig) ||
+			!strings.HasPrefix(err.Error(), "client: marshal call header: ") {
+			t.Errorf("%s: err = %v, want it wrapped as a call-header marshal error", name, err)
+		}
 	}
 }
 
@@ -147,7 +167,10 @@ func TestMarshalCallOversizedAuthFallsBack(t *testing.T) {
 func TestCallPathAllocFree(t *testing.T) {
 	cfg := Config{Prog: 0x20000099, Vers: 2}
 	cfg.fill()
-	tmpl := callTemplate(&cfg)
+	tmpl, err := callTemplate(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	args := func(x *xdr.XDR) error { return x.Stream.PutLong(7) }
 	if allocs := testing.AllocsPerRun(100, func() {
 		req, err := marshalCall(&cfg, tmpl, 42, 1, args, xdr.RecordMarkLen)

@@ -61,8 +61,8 @@ type CallTemplate struct {
 
 // NewCallTemplate compiles the header template. It fails only on
 // credential or verifier material the generic encoder also rejects
-// (bodies above MaxAuthBytes), so callers can fall back to the
-// interpretive path on error and remain exactly as capable.
+// (bodies above MaxAuthBytes), so a caller that fails on this error
+// loses nothing the interpretive path could have sent.
 func NewCallTemplate(prog, vers uint32, cred, verf OpaqueAuth) (*CallTemplate, error) {
 	hdr := CallHeader{
 		XID: templateSentinel, Prog: prog, Vers: vers, Proc: templateSentinel,

@@ -80,7 +80,6 @@ type Server struct {
 	dgBatch  int  // datagrams per syscall bound for ServeUDP
 
 	idleTimeout time.Duration // stream idle-connection reap (0 = never)
-	maxFlush    time.Duration // reply-batch flush-delay bound (0 = immediate)
 
 	// dgio points at the batched-I/O wrapper of the most recently started
 	// ServeUDP loop, for the DatagramIOStats counters.
@@ -184,21 +183,6 @@ func WithIdleTimeout(d time.Duration) Option {
 			d = 0
 		}
 		s.idleTimeout = d
-	}
-}
-
-// WithMaxFlushDelay lets the reply-batch leader on stream connections
-// wait up to d for more replies to finish before its vectored write
-// leaves (default 0 = write immediately, the group-commit-only
-// behavior). A few hundred microseconds here trades that much added
-// reply latency for fewer, fuller write syscalls when concurrency is
-// too low for group commit to find natural batches.
-func WithMaxFlushDelay(d time.Duration) Option {
-	return func(s *Server) {
-		if d < 0 {
-			d = 0
-		}
-		s.maxFlush = d
 	}
 }
 
@@ -786,7 +770,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	if s.noWBatch {
 		wb.MaxBatch = 1
 	}
-	wb.MaxFlushDelay = s.maxFlush
 	// Flush invariant: every record handed to wb is flushed by some
 	// handler goroutine before it returns (the leader loops until the
 	// queue is empty, and a record queued after the leader exits makes

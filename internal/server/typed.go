@@ -62,19 +62,16 @@ func compileTypedProc[A, R any](args *wire.Plan[A], results *wire.Plan[R], h fun
 		(resc != nil && resc.Mode() == wire.Generic) {
 		return nil
 	}
-	fused, err := wire.NewReplyCodec(successTemplate, resc)
-	if err != nil {
-		return nil
-	}
 	// An rpcgen-emitted compiled routine registered for either plan takes
 	// precedence over the plan executor: the argument decode and the
-	// reply append each pick the straight-line form when one exists, and
-	// both forms produce byte-identical messages. Nil checks happen on
-	// the concrete values so a missing registration never plants a
-	// typed-nil appender in the interface.
-	var rc wire.ReplyAppender = fused
-	if crc := wire.NewCompiledReplyCodec(successTemplate, resc); crc != nil {
-		rc = crc
+	// reply codec's engine each pick the straight-line form when one
+	// exists, and both forms produce byte-identical messages.
+	rc := wire.NewCompiledReplyCodec(successTemplate, resc)
+	if rc == nil {
+		var err error
+		if rc, err = wire.NewReplyCodec(successTemplate, resc); err != nil {
+			return nil
+		}
 	}
 	decodeArg := wire.CompiledBodyDecode(argc)
 	if decodeArg == nil && argc != nil {

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"sync"
 	"unsafe"
 
@@ -11,45 +10,17 @@ import (
 
 // This file is the runtime half of the compiled-stub rung: generated
 // packages register their rpcgen-emitted straight-line routines against
-// the package plan they were derived from, and the transports construct
-// CompiledCallCodec/CompiledReplyCodec from the registry when a typed
-// procedure's plan has one. The small CallAppender/ReplyAppender/
-// ReplyDecoder interfaces are what the client and server hot paths hold,
-// so a compiled codec and the fused interpreter slot into the same
-// calls; both produce byte-identical messages, and procedures without a
-// registered compiled routine keep the fused path unchanged.
+// the package plan they were derived from, and NewCompiledCallCodec /
+// NewCompiledReplyCodec build a CallCodec or ReplyCodec whose body
+// engine is that routine instead of the fused plan executor. The header
+// image, XID stamp, success-shape check and decode-only guard are the
+// codec's own, shared by both engines, so a procedure's messages are
+// byte-identical whichever engine it runs on; procedures without a
+// registered routine keep the fused engine.
 
 // The emitted routines stamp the XID at offset 0 of the message image;
 // that is only correct while both header layouts keep it there.
 var _ = [1]struct{}{}[rpcmsg.CallXIDOffset|rpcmsg.ReplyXIDOffset]
-
-// CallAppender emits one complete call message for (xid, arg). Both the
-// fused CallCodec and the compiled codec implement it.
-type CallAppender interface {
-	Append(bs *xdr.BufStream, xid uint32, arg unsafe.Pointer) error
-}
-
-// ReplyAppender emits one complete accepted-success reply, with
-// AppendHeader covering the void/nil-result case.
-type ReplyAppender interface {
-	Append(bs *xdr.BufStream, xid uint32, res unsafe.Pointer) error
-	AppendHeader(bs *xdr.BufStream, xid uint32) error
-}
-
-// ReplyDecoder recognizes an accepted-success reply and decodes its
-// results, reporting handled=false for any other reply shape.
-type ReplyDecoder interface {
-	DecodeReply(raw []byte, res unsafe.Pointer) (bool, error)
-}
-
-var (
-	_ CallAppender  = (*CallCodec)(nil)
-	_ CallAppender  = (*CompiledCallCodec)(nil)
-	_ ReplyAppender = (*ReplyCodec)(nil)
-	_ ReplyAppender = (*CompiledReplyCodec)(nil)
-	_ ReplyDecoder  = (*ReplyCodec)(nil)
-	_ ReplyDecoder  = (*CompiledReplyCodec)(nil)
-)
 
 // Compiled is one registered pair of emitted routines for values of type
 // T: Append writes hdr + XID + value as one straight-line pass, Decode
@@ -63,9 +34,17 @@ type Compiled[T any] struct {
 // erase T once at registration so the hot path pays no per-call
 // conversion beyond the pointer cast.
 type compiledImpl struct {
-	app func(bs *xdr.BufStream, hdr []byte, xid uint32, p unsafe.Pointer) error
-	dec func(body []byte, p unsafe.Pointer) error
+	app appendFunc
+	dec decodeFunc
 }
+
+// appendFunc is an emitted routine's signature: it emits one whole
+// message, the header image hdr with xid stamped at offset 0 followed
+// by the value at p.
+type appendFunc func(bs *xdr.BufStream, hdr []byte, xid uint32, p unsafe.Pointer) error
+
+// decodeFunc decodes a value at p out of raw body bytes.
+type decodeFunc func(body []byte, p unsafe.Pointer) error
 
 // compiledCodecs maps a plan's *Codec identity to its registered
 // compiled routines. Registration happens in generated-package inits,
@@ -116,22 +95,11 @@ func CompiledBodyDecode(c *Codec) func(body []byte, p unsafe.Pointer) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Call side
-
-// CompiledCallCodec is the compiled counterpart of CallCodec: the same
-// (header template, procedure, argument type) triple, but the argument
-// bytes are produced by the rpcgen-emitted routine instead of the plan
-// executor. Immutable and safe for concurrent use.
-type CompiledCallCodec struct {
-	hdr []byte // template bytes with the procedure stamped, XID zeroed
-	app func(bs *xdr.BufStream, hdr []byte, xid uint32, p unsafe.Pointer) error
-}
-
-// NewCompiledCallCodec builds the compiled whole-call encoder for proc,
-// or nil when args has no registered compiled append routine (void
-// sides included: the emitted routines always carry a value).
-func NewCompiledCallCodec(tmpl *rpcmsg.CallTemplate, proc uint32, args *Codec) *CompiledCallCodec {
+// NewCompiledCallCodec builds the whole-call codec for proc on the
+// compiled engine, or nil when args has no registered compiled append
+// routine (void sides included: the emitted routines always carry a
+// value).
+func NewCompiledCallCodec(tmpl *rpcmsg.CallTemplate, proc uint32, args *Codec) *CallCodec {
 	if tmpl == nil {
 		return nil
 	}
@@ -139,79 +107,21 @@ func NewCompiledCallCodec(tmpl *rpcmsg.CallTemplate, proc uint32, args *Codec) *
 	if impl == nil || impl.app == nil {
 		return nil
 	}
-	return &CompiledCallCodec{hdr: tmpl.AppendCall(nil, 0, proc), app: impl.app}
+	return &CallCodec{hdr: tmpl.AppendCall(nil, 0, proc), app: impl.app}
 }
 
-// Append emits the complete call message for (xid, arg) onto bs,
-// byte-identical to the fused CallCodec and the template+plan pair.
-//
-//specrpc:hotpath
-func (cc *CompiledCallCodec) Append(bs *xdr.BufStream, xid uint32, arg unsafe.Pointer) error {
-	return cc.app(bs, cc.hdr, xid, arg)
-}
-
-// ---------------------------------------------------------------------------
-// Reply side
-
-// CompiledReplyCodec is the compiled counterpart of ReplyCodec: the
-// server encodes accepted-success replies through the emitted routine,
-// the client decodes results straight out of raw reply bytes through
-// it. A nil template builds a decode-only codec.
-type CompiledReplyCodec struct {
-	hdr []byte // success template bytes, XID zeroed; nil when decode-only
-	app func(bs *xdr.BufStream, hdr []byte, xid uint32, p unsafe.Pointer) error
-	dec func(body []byte, p unsafe.Pointer) error
-}
-
-// NewCompiledReplyCodec builds the compiled reply codec for results, or
-// nil when the needed direction has no registered routine: with a
-// template the encoder must exist (the server side), without one the
-// decoder must (the client side).
-func NewCompiledReplyCodec(tmpl *rpcmsg.ReplyTemplate, results *Codec) *CompiledReplyCodec {
+// NewCompiledReplyCodec builds the reply codec for results on the
+// compiled engine, or nil when the needed direction has no registered
+// routine: with a template the encoder must exist (the server side),
+// without one the decoder must (the client side, decode-only).
+func NewCompiledReplyCodec(tmpl *rpcmsg.ReplyTemplate, results *Codec) *ReplyCodec {
 	impl := compiledFor(results)
-	if impl == nil {
+	if impl == nil || (tmpl == nil && impl.dec == nil) || (tmpl != nil && impl.app == nil) {
 		return nil
 	}
-	if tmpl == nil {
-		if impl.dec == nil {
-			return nil
-		}
-		return &CompiledReplyCodec{dec: impl.dec}
+	rc := &ReplyCodec{app: impl.app, dec: impl.dec}
+	if tmpl != nil {
+		rc.hdr = tmpl.AppendReply(nil, 0)
 	}
-	if impl.app == nil {
-		return nil
-	}
-	return &CompiledReplyCodec{hdr: tmpl.AppendReply(nil, 0), app: impl.app, dec: impl.dec}
-}
-
-// Append emits the complete accepted-success reply for (xid, res).
-//
-//specrpc:hotpath
-func (rc *CompiledReplyCodec) Append(bs *xdr.BufStream, xid uint32, res unsafe.Pointer) error {
-	return rc.app(bs, rc.hdr, xid, res)
-}
-
-// AppendHeader emits the success header alone (a nil result), exactly
-// like ReplyCodec.AppendHeader.
-func (rc *CompiledReplyCodec) AppendHeader(bs *xdr.BufStream, xid uint32) error {
-	w := bs.Extend(len(rc.hdr))
-	copy(w, rc.hdr)
-	binary.BigEndian.PutUint32(w[rpcmsg.ReplyXIDOffset:], xid)
-	return nil
-}
-
-// DecodeReply recognizes an accepted-success reply at fixed offsets and
-// decodes the results through the emitted routine; handled=false sends
-// any other reply shape to the generic path, exactly as ReplyCodec does.
-//
-//specrpc:hotpath
-func (rc *CompiledReplyCodec) DecodeReply(raw []byte, res unsafe.Pointer) (bool, error) {
-	body, ok := rpcmsg.AcceptedSuccessBody(raw)
-	if !ok {
-		return false, nil
-	}
-	if res == nil || rc.dec == nil {
-		return true, nil
-	}
-	return true, rc.dec(body, res)
+	return rc
 }

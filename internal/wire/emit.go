@@ -327,7 +327,7 @@ func emitLoads(e *emitter, lb *lineBuf, t *EmitType, expr, buf, base string, off
 // and emit their own bounded blocks. The first flush also emits the
 // header: the reservation covers hdr plus the leading fixed run, the
 // XID is stamped at offset 0 (both message directions carry it there),
-// exactly as appendFused does.
+// exactly as appendMessage's fused engine does.
 type appendGen struct {
 	e          *emitter
 	pend       *lineBuf

@@ -29,6 +29,9 @@ import (
 // Both codecs are compiled through the template and plan layers they
 // replace, so their bytes are identical to the template-copy + plan
 // pair by construction; the differential fuzz tests keep that true.
+// The body behind the header image comes from one of two engines,
+// chosen at construction: the fused plan body built here, or the
+// rpcgen-emitted routine registered for the plan (compiled.go).
 
 // fixedRun is one precomputed store of a fused image: a fixed-size plan
 // instruction whose wire offset inside the single reservation is known
@@ -131,13 +134,18 @@ func encodeFixed(w []byte, runs []fixedRun, p unsafe.Pointer) {
 	}
 }
 
-// appendFused emits one whole message: a single Extend covers the
-// header image plus the fixed runs, the XID is stamped at its fixed
-// offset, and any variable tail continues through the plan executor on
-// the same buffer.
+// appendMessage emits one whole message through the codec's engine.
+// The compiled engine (app) writes everything itself. On the fused
+// engine a single Extend covers the header image plus the fixed runs,
+// the XID is stamped at its fixed offset, and any variable tail
+// continues through the plan executor on the same buffer. Keeping the
+// engine switch here keeps the codecs' Append methods inlinable.
 //
 //specrpc:hotpath
-func appendFused(bs *xdr.BufStream, hdr []byte, xidOff int, body *fusedBody, xid uint32, p unsafe.Pointer) error {
+func appendMessage(bs *xdr.BufStream, hdr []byte, xidOff int, body *fusedBody, app appendFunc, xid uint32, p unsafe.Pointer) error {
+	if app != nil {
+		return app(bs, hdr, xid, p)
+	}
 	w := bs.Extend(len(hdr) + body.fixedWire)
 	copy(w, hdr)
 	binary.BigEndian.PutUint32(w[xidOff:], xid)
@@ -158,14 +166,15 @@ func appendFused(bs *xdr.BufStream, hdr []byte, xidOff int, body *fusedBody, xid
 // client sends for that procedure except the XID and the argument
 // bytes. Immutable and safe for concurrent use.
 type CallCodec struct {
-	hdr  []byte // template bytes with the procedure stamped, XID zeroed
-	body fusedBody
+	hdr  []byte     // template bytes with the procedure stamped, XID zeroed
+	body fusedBody  // fused engine; unused when app is set
+	app  appendFunc // compiled engine (NewCompiledCallCodec)
 }
 
-// NewCallCodec fuses tmpl and the argument codec for proc. A nil args
-// codec marks a void argument side; a Generic-mode codec is rejected
-// (there is no flat program to fuse — callers keep the interpretive
-// path).
+// NewCallCodec fuses tmpl and the argument codec for proc, always on
+// the fused engine. A nil args codec marks a void argument side; a
+// Generic-mode codec is rejected (there is no flat program to fuse —
+// callers keep the interpretive path).
 func NewCallCodec(tmpl *rpcmsg.CallTemplate, proc uint32, args *Codec) (*CallCodec, error) {
 	if tmpl == nil {
 		return nil, fmt.Errorf("wire: nil call template")
@@ -184,7 +193,7 @@ func NewCallCodec(tmpl *rpcmsg.CallTemplate, proc uint32, args *Codec) (*CallCod
 //
 //specrpc:hotpath
 func (cc *CallCodec) Append(bs *xdr.BufStream, xid uint32, arg unsafe.Pointer) error {
-	return appendFused(bs, cc.hdr, rpcmsg.CallXIDOffset, &cc.body, xid, arg)
+	return appendMessage(bs, cc.hdr, rpcmsg.CallXIDOffset, &cc.body, cc.app, xid, arg)
 }
 
 // ---------------------------------------------------------------------------
@@ -197,19 +206,24 @@ func (cc *CallCodec) Append(bs *xdr.BufStream, xid uint32, arg unsafe.Pointer) e
 // (the client never emits replies). Immutable and safe for concurrent
 // use.
 type ReplyCodec struct {
-	hdr  []byte // success template bytes, XID zeroed; nil when decode-only
-	body fusedBody
-	resc *Codec // nil for void results
+	hdr  []byte     // success template bytes, XID zeroed; nil when decode-only
+	body fusedBody  // fused engine; unused when app is set
+	app  appendFunc // compiled engine (NewCompiledReplyCodec)
+	dec  decodeFunc // result decoder; nil for void results
 }
 
-// NewReplyCodec fuses tmpl and the result codec. A nil results codec
-// marks a void result side; a Generic-mode codec is rejected.
+// NewReplyCodec fuses tmpl and the result codec, always on the fused
+// engine. A nil results codec marks a void result side; a Generic-mode
+// codec is rejected.
 func NewReplyCodec(tmpl *rpcmsg.ReplyTemplate, results *Codec) (*ReplyCodec, error) {
 	body, err := compileFusedBody(results)
 	if err != nil {
 		return nil, err
 	}
-	rc := &ReplyCodec{body: body, resc: results}
+	rc := &ReplyCodec{body: body}
+	if results != nil {
+		rc.dec = results.DecodeBody
+	}
 	if tmpl != nil {
 		rc.hdr = tmpl.AppendReply(nil, 0)
 	}
@@ -230,7 +244,7 @@ func (rc *ReplyCodec) Append(bs *xdr.BufStream, xid uint32, res unsafe.Pointer) 
 	if rc.hdr == nil {
 		return errDecodeOnly
 	}
-	return appendFused(bs, rc.hdr, rpcmsg.ReplyXIDOffset, &rc.body, xid, res)
+	return appendMessage(bs, rc.hdr, rpcmsg.ReplyXIDOffset, &rc.body, rc.app, xid, res)
 }
 
 // AppendHeader emits the success header alone (a void or nil result
@@ -251,7 +265,8 @@ func (rc *ReplyCodec) AppendHeader(bs *xdr.BufStream, xid uint32) error {
 // decodes nothing — for any other reply shape (error statuses, denials,
 // ill-formed headers), sending the caller to the generic interpretive
 // path for the full failure detail; the accept set of the fixed-offset
-// test matches the generic walker's exactly (fuzz-asserted).
+// test matches the generic walker's exactly (fuzz-asserted). A void
+// result side or a nil res decodes nothing.
 //
 //specrpc:hotpath
 func (rc *ReplyCodec) DecodeReply(raw []byte, res unsafe.Pointer) (bool, error) {
@@ -259,10 +274,10 @@ func (rc *ReplyCodec) DecodeReply(raw []byte, res unsafe.Pointer) (bool, error) 
 	if !ok {
 		return false, nil
 	}
-	if rc.resc == nil {
+	if res == nil || rc.dec == nil {
 		return true, nil
 	}
-	return true, rc.resc.DecodeBody(body, res)
+	return true, rc.dec(body, res)
 }
 
 // ---------------------------------------------------------------------------

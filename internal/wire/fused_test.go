@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"specrpc/internal/rpcmsg"
 	"specrpc/internal/xdr"
@@ -131,27 +134,61 @@ func TestReplyPlanHeaderOnly(t *testing.T) {
 
 func TestReplyPlanRejectsNonSuccess(t *testing.T) {
 	p := MustPlan[everything](everythingType(), Specialized)
-	rp, err := NewReplyPlan(nil, p) // decode-only
+	// Both engines, decode-only. The compiled routines registered here
+	// run through the plan executor behind an emitted-style header
+	// stamp: only the codec around them is under test.
+	RegisterCompiled(p, Compiled[everything]{
+		Append: func(bs *xdr.BufStream, hdr []byte, xid uint32, v *everything) error {
+			w := bs.Extend(len(hdr))
+			copy(w, hdr)
+			binary.BigEndian.PutUint32(w, xid)
+			return p.Encode(xdr.NewEncoder(bs), v)
+		},
+		Decode: func(body []byte, v *everything) error {
+			return p.Codec().DecodeBody(body, unsafe.Pointer(v))
+		},
+	})
+	fused, err := NewReplyCodec(nil, p.Codec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An accepted-but-failed reply must not be decoded: handled=false
-	// sends the caller to the generic walk for the failure detail.
-	bs := xdr.NewBufEncode(nil)
-	rh := rpcmsg.ErrorReply(9, rpcmsg.GarbageArgs)
-	if err := rh.Marshal(xdr.NewEncoder(bs)); err != nil {
+	compiled := NewCompiledReplyCodec(nil, p.Codec())
+	if compiled == nil {
+		t.Fatal("no compiled decode-only codec for a registered decoder")
+	}
+	v := sampleEverything()
+	success := xdr.NewBufEncode(nil)
+	success.SetBuffer(rpcmsg.MustReplyTemplate(rpcmsg.None()).AppendReply(nil, 9))
+	if err := p.Encode(xdr.NewEncoder(success), &v); err != nil {
 		t.Fatal(err)
 	}
-	var got everything
-	if handled, err := rp.DecodeReply(bs.Buffer(), &got); handled || err != nil {
-		t.Fatalf("error reply: handled=%v err=%v", handled, err)
-	}
-	if handled, err := rp.DecodeReply([]byte{1, 2}, &got); handled || err != nil {
-		t.Fatalf("short reply: handled=%v err=%v", handled, err)
-	}
-	// Appending through a decode-only codec is a programming error.
-	if err := rp.rc.AppendHeader(xdr.NewBufEncode(nil), 1); err == nil {
-		t.Error("decode-only codec accepted AppendHeader")
+	for name, rc := range map[string]*ReplyCodec{"fused": fused, "compiled": compiled} {
+		// An accepted-but-failed reply must not be decoded: handled=false
+		// sends the caller to the generic walk for the failure detail.
+		bs := xdr.NewBufEncode(nil)
+		rh := rpcmsg.ErrorReply(9, rpcmsg.GarbageArgs)
+		if err := rh.Marshal(xdr.NewEncoder(bs)); err != nil {
+			t.Fatal(err)
+		}
+		var got everything
+		if handled, err := rc.DecodeReply(bs.Buffer(), unsafe.Pointer(&got)); handled || err != nil {
+			t.Fatalf("%s: error reply: handled=%v err=%v", name, handled, err)
+		}
+		if handled, err := rc.DecodeReply([]byte{1, 2}, unsafe.Pointer(&got)); handled || err != nil {
+			t.Fatalf("%s: short reply: handled=%v err=%v", name, handled, err)
+		}
+		// A success reply with a nil result pointer is handled and
+		// decodes nothing.
+		if handled, err := rc.DecodeReply(success.Buffer(), nil); !handled || err != nil {
+			t.Fatalf("%s: nil result: handled=%v err=%v", name, handled, err)
+		}
+		// Appending through a decode-only codec is a programming error.
+		if err := rc.Append(bs, 1, unsafe.Pointer(&v)); !errors.Is(err, errDecodeOnly) {
+			t.Errorf("%s: Append on decode-only codec: err = %v, want errDecodeOnly", name, err)
+		}
+		if err := rc.AppendHeader(bs, 1); !errors.Is(err, errDecodeOnly) {
+			t.Errorf("%s: AppendHeader on decode-only codec: err = %v, want errDecodeOnly", name, err)
+		}
 	}
 }
 

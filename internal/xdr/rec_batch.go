@@ -153,18 +153,6 @@ type RecBatcher struct {
 	// MaxBatch == 1 degenerates to one Write per record — the
 	// pre-batching behavior, kept as the measurable baseline.
 	MaxBatch int
-	// MaxFlushDelay, when positive, lets a Write-triggered leader whose
-	// pending batch is still under the watermark wait this long before
-	// its first vectored write, giving concurrent writers that much time
-	// to queue behind it. Group commit alone only coalesces records that
-	// finish while the leader is inside the write syscall; on an idle
-	// host with shallow concurrency that window is nearly empty, and a
-	// bounded delay is the knob that buys batching there — at the price
-	// of adding up to the delay to every reply's latency. 0 (the
-	// default) writes immediately: byte-for-byte and syscall-for-syscall
-	// the pre-knob behavior. Explicit Flush and watermark-triggered
-	// flushes never delay.
-	MaxFlushDelay time.Duration
 
 	mu        sync.Mutex // guards pend, pendBytes, pendDL, flushing, err, errFired
 	rec       *RecStream
@@ -241,7 +229,7 @@ func (b *RecBatcher) add(bp *[]byte, flush bool, dl time.Time) error {
 		b.mu.Unlock()
 		return nil
 	}
-	return b.flushLocked(flush)
+	return b.flushLocked()
 }
 
 // Flush writes everything queued. With nothing queued it is a no-op
@@ -253,34 +241,19 @@ func (b *RecBatcher) Flush() error {
 		b.mu.Unlock()
 		return nil
 	}
-	return b.flushLocked(false)
+	return b.flushLocked()
 }
 
 // flushLocked runs the leader protocol. Called with b.mu held; returns
 // with it released. If another leader is already flushing, the queued
-// work is left to it. wait marks a Write-triggered flush, the only kind
-// the MaxFlushDelay knob applies to.
-func (b *RecBatcher) flushLocked(wait bool) error {
+// work is left to it.
+func (b *RecBatcher) flushLocked() error {
 	if b.flushing {
 		err := b.err
 		b.mu.Unlock()
 		return err
 	}
 	b.flushing = true
-	if wait && b.MaxFlushDelay > 0 {
-		wm := b.Watermark
-		if wm <= 0 {
-			wm = DefaultBatchWatermark
-		}
-		if b.pendBytes < wm {
-			// Sleep with the leadership claim held but the lock released:
-			// followers queue behind the claim and return immediately, and
-			// everything they add leaves in this leader's first write.
-			b.mu.Unlock()
-			time.Sleep(b.MaxFlushDelay)
-			b.mu.Lock()
-		}
-	}
 	for b.err == nil && len(b.pend) > 0 {
 		batch := b.pend
 		if b.MaxBatch > 0 && len(batch) > b.MaxBatch {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sync"
 	"testing"
-	"time"
 )
 
 // queueWire writes each payload through QueueRecord+Flush and returns
@@ -242,11 +241,10 @@ func TestRecBatcherErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestRecBatcherFlushDelayZeroUnchanged: with MaxFlushDelay at its zero
-// default the pre-knob contract holds exactly — each uncontended Write
-// costs one syscall as it always did, and the wire bytes match the
-// per-record WriteRecord stream.
-func TestRecBatcherFlushDelayZeroUnchanged(t *testing.T) {
+// TestRecBatcherUncontendedWriteOneSyscall: each uncontended Write
+// costs exactly one syscall, and the wire bytes match the per-record
+// WriteRecord stream.
+func TestRecBatcherUncontendedWriteOneSyscall(t *testing.T) {
 	payloads := [][]byte{[]byte("a"), []byte("bb"), {}, []byte("dddd")}
 	var want bytes.Buffer
 	uw := NewRecStream(&rwPair{Writer: &want}, 0)
@@ -267,63 +265,6 @@ func TestRecBatcherFlushDelayZeroUnchanged(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(wire.Bytes(), want.Bytes()) {
-		t.Fatal("MaxFlushDelay=0 wire bytes diverge from WriteRecord")
-	}
-}
-
-// TestRecBatcherFlushDelayCoalesces: a Write-triggered leader under the
-// watermark waits out the knob, and everything queued behind its claim
-// by then leaves in the one vectored write.
-func TestRecBatcherFlushDelayCoalesces(t *testing.T) {
-	var cw countingWriter
-	var wire bytes.Buffer
-	b := NewRecBatcher(NewRecStream(&rwPair{Writer: io.MultiWriter(&cw, &wire)}, 0))
-	b.MaxFlushDelay = 20 * time.Millisecond
-	for i := 0; i < 3; i++ {
-		if err := b.Queue(pooled([]byte(fmt.Sprintf("q%d", i)))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	start := time.Now()
-	if err := b.Write(pooled([]byte("leader"))); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < b.MaxFlushDelay {
-		t.Fatalf("delayed leader returned after %v, want >= %v", d, b.MaxFlushDelay)
-	}
-	if cw.writes != 1 {
-		t.Fatalf("4 records left in %d writes, want 1 coalesced write", cw.writes)
-	}
-	r := NewRecStream(&rwPair{Reader: &wire}, 0)
-	for i := 0; i < 4; i++ {
-		if _, err := r.ReadRecord(nil); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-	}
-}
-
-// TestRecBatcherFlushDelayBounds: the delay applies only to
-// under-watermark Write-triggered flushes — a Write already past the
-// watermark and an explicit Flush go out immediately.
-func TestRecBatcherFlushDelayBounds(t *testing.T) {
-	var cw countingWriter
-	b := NewRecBatcher(NewRecStream(&rwPair{Writer: &cw}, 0))
-	b.MaxFlushDelay = 2 * time.Second
-	b.Watermark = 8
-	start := time.Now()
-	if err := b.Write(pooled(bytes.Repeat([]byte{7}, 32))); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Queue(pooled([]byte("x"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d >= b.MaxFlushDelay {
-		t.Fatalf("watermark write + explicit Flush took %v: the delay leaked past its trigger", d)
-	}
-	if cw.writes != 2 {
-		t.Fatalf("%d writes, want 2", cw.writes)
+		t.Fatal("batched wire bytes diverge from WriteRecord")
 	}
 }
