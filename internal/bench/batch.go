@@ -43,8 +43,9 @@ type BatchOptions struct {
 	//             with Depth.
 	//   "calls" — ONC batched calls (TCP only): groups of batchGroup-1
 	//             CallBatched flushed by a terminal Call, the protocol-
-	//             level batching of the Sun RPC lineage. Deterministic
-	//             writes/op regardless of scheduling.
+	//             level batching of the Sun RPC lineage. Exactly
+	//             1/batchGroup writes/op at depth 1; deeper pipelines
+	//             land between 1/(batchGroup*Depth) and 1.
 	Mode string
 	// Clients, Depth, Calls, ArraySize as in ThroughputOptions.
 	Clients, Depth, Calls, ArraySize int

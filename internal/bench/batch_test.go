@@ -7,7 +7,8 @@ import (
 
 // The syscalls/op pins here are counter-based and deterministic where
 // the mode's arithmetic is scheduling-independent: "off" issues exactly
-// one client write per call, "calls" exactly one per batchGroup.
+// one client write per call, "calls" exactly one per batchGroup when
+// one goroutine drives each connection.
 
 func runBatch(t *testing.T, o BatchOptions) BatchResult {
 	t.Helper()
@@ -33,24 +34,37 @@ func TestBatchTCPOffWritesPerOp(t *testing.T) {
 	}
 }
 
-// TestBatchTCPCallsWritesPerOp: ONC batched calls are deterministic —
-// batchGroup-1 queued records and the terminal call leave in one
-// coalesced write, so writes/op is exactly 1/batchGroup at any depth.
-// This is the depth>=4 syscall-reduction pin of the acceptance
-// criteria, counted rather than timed.
+// TestBatchTCPCallsWritesPerOp: ONC batched calls. When one goroutine
+// drives each connection, a group's batchGroup-1 queued records and its
+// terminal call leave in one coalesced write, so writes/op is exactly
+// 1/batchGroup; that is pinned at 1 client and at 4 clients, both at
+// depth 1.
+//
+// With depth goroutines sharing one connection the count depends on
+// scheduling, in both directions: concurrent terminal calls can share
+// one write, and a leader can flush another worker's queued records
+// before that worker's terminal call, which then writes alone. What the
+// batcher guarantees is a bound. Each worker has at most one terminal
+// call pending, so one write carries at most depth terminal records;
+// every terminal record leaves in exactly one write; hence writes >=
+// (Calls/batchGroup)/depth, i.e. writes/op >= 1/(batchGroup*depth).
+// Above, writes/op < 1 is the reduction against the off baseline.
 func TestBatchTCPCallsWritesPerOp(t *testing.T) {
-	for _, depth := range []int{1, 4} {
+	for _, shape := range []struct{ clients, depth int }{{1, 1}, {4, 1}} {
 		res := runBatch(t, BatchOptions{Transport: "tcp", Mode: "calls",
-			Clients: 1, Depth: depth, Calls: 64})
+			Clients: shape.clients, Depth: shape.depth, Calls: 64})
 		want := 1.0 / batchGroup
 		if math.Abs(res.ClientWritesPerOp-want) > 1e-9 {
-			t.Fatalf("depth %d: calls-mode client writes/op = %v, want exactly %v",
-				depth, res.ClientWritesPerOp, want)
+			t.Fatalf("%d clients x depth %d: calls-mode client writes/op = %v, want exactly %v",
+				shape.clients, shape.depth, res.ClientWritesPerOp, want)
 		}
-		if res.ClientWritesPerOp >= 1.0 {
-			t.Fatalf("depth %d: no reduction vs the off baseline (%v >= 1.0)",
-				depth, res.ClientWritesPerOp)
-		}
+	}
+	const depth = 4
+	res := runBatch(t, BatchOptions{Transport: "tcp", Mode: "calls",
+		Clients: 1, Depth: depth, Calls: 64})
+	if lo := 1.0 / (batchGroup * depth); res.ClientWritesPerOp < lo-1e-9 || res.ClientWritesPerOp >= 1.0 {
+		t.Fatalf("depth %d: calls-mode client writes/op = %v, want in [%v, 1)",
+			depth, res.ClientWritesPerOp, lo)
 	}
 }
 

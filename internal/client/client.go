@@ -1,9 +1,17 @@
 // Package client implements the client half of Sun RPC: the Go rendering
 // of clnt_udp.c and clnt_tcp.c, extended with a concurrent multiplexed
-// transport. A Client owns a transport, assigns XIDs atomically, marshals
-// the call header and arguments into pooled buffers, retransmits over
-// datagram transports, and decodes the reply header before handing the
-// result stream to the caller's unmarshaler.
+// transport. A client assigns XIDs atomically, marshals the call header
+// and arguments into pooled buffers, retransmits over datagram
+// transports, and decodes the reply header before handing the result
+// stream to the caller's unmarshaler.
+//
+// The two clients share one call path, as the original pair differed
+// only in how a request leaves and how a reply comes back. UDP and TCP
+// embed core, which owns the client-lifetime state, the entry points
+// (Call, CallCtx, the typed path), the call deadline, the reply wait and
+// the retry backoff. Each transport supplies only its round trip: UDP
+// the datagram send and retransmit schedule, TCP the connection
+// generations, reconnect and record batching.
 //
 // Unlike the original one-call-at-a-time clients, both transports allow
 // many in-flight calls per connection: a single reader goroutine
@@ -32,7 +40,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -263,10 +270,6 @@ type lifecycle struct {
 	done   chan struct{}
 }
 
-func newLifecycle() lifecycle {
-	return lifecycle{done: make(chan struct{})}
-}
-
 func (l *lifecycle) isClosed() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -283,22 +286,8 @@ func (l *lifecycle) beginClose() bool {
 		return false
 	}
 	l.closed = true
-	if l.done != nil {
-		close(l.done)
-	}
+	close(l.done)
 	return true
-}
-
-// closeOnce performs the shared close sequence: mark closed, close the
-// underlying connection (which stops the reader goroutine), then fail
-// in-flight calls with ErrClosed. Repeat closes are no-ops.
-func (l *lifecycle) closeOnce(conn io.Closer, dmx *demux) error {
-	if !l.beginClose() {
-		return nil
-	}
-	err := conn.Close()
-	dmx.fail(ErrClosed)
-	return err
 }
 
 // registerCall assigns the next XID and registers its reply slot,
@@ -370,16 +359,16 @@ type callReq struct {
 // prefix reserved bytes at its head. The fused path reserves header and
 // fixed-size argument bytes in one bounds check and stamps the XID into
 // the image; the closure path is marshalCall unchanged. Both produce
-// byte-identical messages. tmplErr is the client's callTemplate error,
-// returned in place of any message when the header cannot compile.
-func marshalReq(cfg *Config, tmpl *rpcmsg.CallTemplate, tmplErr error, r callReq, xid, proc uint32, prefix int) (*[]byte, error) {
-	if tmplErr != nil {
-		return nil, tmplErr
+// byte-identical messages. The client's callTemplate error is returned
+// in place of any message when the header cannot compile.
+func (c *core) marshalReq(r callReq, xid, proc uint32, prefix int) (*[]byte, error) {
+	if c.tmplErr != nil {
+		return nil, c.tmplErr
 	}
 	if r.cc == nil {
-		return marshalCall(cfg, tmpl, xid, proc, r.args, prefix)
+		return marshalCall(&c.cfg, c.tmpl, xid, proc, r.args, prefix)
 	}
-	bp := xdr.GetBuf(cfg.BufSize + prefix)
+	bp := xdr.GetBuf(c.cfg.BufSize + prefix)
 	var bs xdr.BufStream
 	bs.SetBuffer((*bp)[:prefix])
 	err := r.cc.Append(&bs, xid, r.argp)
@@ -578,62 +567,71 @@ func checkReply(rh *rpcmsg.ReplyHeader) error {
 }
 
 // ---------------------------------------------------------------------------
-// UDP
+// The call core
 
-// UDP is a datagram client (CLIENT from clntudp_create): unreliable
-// transport, at-least-once semantics via retransmission, reply matched to
-// request by XID. Any number of goroutines may Call concurrently; each
-// call retransmits independently while a shared reader goroutine routes
-// replies.
-type UDP struct {
+// transport is what each client supplies to core: one call's trip from
+// registering its reply slot to its outcome, by the resolved deadline.
+type transport interface {
+	roundTrip(ctx context.Context, proc uint32, req callReq, sink replySink, deadline time.Time) error
+}
+
+// core is the one call path of both clients and their client-lifetime
+// state; UDP and TCP embed it and supply only their transport. The state
+// outlives a TCP connection generation, so a reconnect recompiles nothing.
+type core struct {
 	cfg     Config
 	tmpl    *rpcmsg.CallTemplate
 	tmplErr error // callTemplate's error, returned by every call
-	conn    net.PacketConn
-	server  net.Addr
-
-	xid       atomic.Uint32
-	dmx       *demux
-	planned   plannedProcs
-	truncated atomic.Uint64
-	reader    sync.Once
-	life      lifecycle
-
-	policy *RetryPolicy // nil → legacy fixed-tick retransmission
-	budget *retryBudget
-	stats  retryCounters
+	xid     atomic.Uint32
+	planned plannedProcs
+	life    lifecycle
+	policy  *RetryPolicy // nil → legacy: fixed UDP tick, no TCP retry or redial backoff
+	budget  *retryBudget // shared by retransmits, call retries and redials
+	stats   retryCounters
+	t       transport
 }
 
-// NewUDP returns a client sending calls for cfg.Prog/cfg.Vers to server
-// over conn. The caller retains ownership of conn's lifetime via Close.
-func NewUDP(conn net.PacketConn, server net.Addr, cfg Config) *UDP {
+// init sets up the client-lifetime state. A datagram client takes a
+// retry policy only from cfg.Retry, with Retransmit as its default
+// BaseDelay; a stream client also takes the default policy when Redial
+// is set, since redialing backs off under it.
+func (c *core) init(cfg Config, t transport, stream bool) {
 	cfg.fill()
-	c := &UDP{cfg: cfg, conn: conn, server: server, dmx: newDemux(), life: newLifecycle()}
-	c.tmpl, c.tmplErr = callTemplate(&cfg)
+	c.cfg, c.t = cfg, t
+	c.life.done = make(chan struct{})
+	c.tmpl, c.tmplErr = callTemplate(&c.cfg)
 	c.xid.Store(cfg.FirstXID)
-	if cfg.Retry != nil {
-		p := cfg.Retry.norm(cfg.Retransmit)
-		c.policy = &p
-		c.budget = newRetryBudget(&p)
+	p, seed := cfg.Retry, cfg.Retransmit
+	if stream {
+		seed = 0
+		if p == nil && cfg.Redial != nil {
+			p = &RetryPolicy{}
+		}
 	}
-	return c
+	if p != nil {
+		q := p.norm(seed)
+		c.policy, c.budget = &q, newRetryBudget(&q)
+	}
 }
 
 // Call performs one remote procedure call: marshal header + args, send,
-// await the XID-matched reply (retransmitting every cfg.Retransmit), then
-// decode the results with reply. It is safe for concurrent use; unlike
-// the original one-socket client, concurrent calls proceed in parallel
-// and replies may arrive in any order.
-func (c *UDP) Call(proc uint32, args, reply Marshal) error {
+// await the XID-matched reply, then decode the results with reply. It
+// is safe for concurrent use; unlike the original one-call-at-a-time
+// clients, concurrent calls proceed in parallel and replies may arrive
+// in any order. Over UDP the request is retransmitted until the reply
+// arrives; over TCP it is one record out, one record back.
+func (c *core) Call(proc uint32, args, reply Marshal) error {
 	return c.doCall(context.Background(), proc, callReq{args: args}, replySink{fn: reply})
 }
 
 // CallCtx is Call with a per-call context: the call's deadline is the
 // earlier of the context deadline and the client's Timeout, and
 // cancelling the context abandons the call immediately (releasing its
-// reply slot; a late reply is dropped by the demultiplexer exactly like
-// any stale datagram).
-func (c *UDP) CallCtx(ctx context.Context, proc uint32, args, reply Marshal) error {
+// reply slot; a late reply is dropped by the demultiplexer like any
+// stale one). Over TCP the deadline also bounds the shared record write
+// (the batcher arms the connection's write deadline from the earliest
+// deadline in each batch).
+func (c *core) CallCtx(ctx context.Context, proc uint32, args, reply Marshal) error {
 	return c.doCall(ctx, proc, callReq{args: args}, replySink{fn: reply})
 }
 
@@ -641,7 +639,7 @@ func (c *UDP) CallCtx(ctx context.Context, proc uint32, args, reply Marshal) err
 // through: same transport semantics as Call, with the request encoded
 // by a whole-call codec and the results decoded straight from the
 // reply. handled=false sends the caller to the closure path.
-func (c *UDP) callPlanned(ctx context.Context, proc uint32, argc *wire.Codec, arg unsafe.Pointer, resc *wire.Codec, res unsafe.Pointer) (bool, error) {
+func (c *core) callPlanned(ctx context.Context, proc uint32, argc *wire.Codec, arg unsafe.Pointer, resc *wire.Codec, res unsafe.Pointer) (bool, error) {
 	e := c.planned.lookup(c.tmpl, proc, argc, resc)
 	if e == nil {
 		return false, nil
@@ -651,13 +649,137 @@ func (c *UDP) callPlanned(ctx context.Context, proc uint32, argc *wire.Codec, ar
 		replySink{rc: e.rep, resc: resc, resp: res})
 }
 
-func (c *UDP) doCall(ctx context.Context, proc uint32, req callReq, sink replySink) error {
+func (c *core) doCall(ctx context.Context, proc uint32, req callReq, sink replySink) error {
 	if c.isClosed() {
 		return ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	return c.t.roundTrip(ctx, proc, req, sink, callDeadline(ctx, c.cfg.Timeout))
+}
+
+// await is the reply wait: it returns the decoded reply once one
+// arrives on ch, or fails the call when its deadline passes, ctx ends,
+// or dmx fails. Each failure first makes a last drainReply check, so a
+// reply that raced it still wins. broken reports a dmx failure: err is
+// then ErrClosed or the demultiplexer's terminal error, and a stream
+// client may retry on a new connection.
+//
+// rt, when non-nil, is the datagram retransmit schedule, run on a timer
+// of its own; an ill-formed reply is then ignored and the wait goes on,
+// as clntudp_call ignored undecodable datagrams. Without it (a stream)
+// an ill-formed reply fails the call.
+func (c *core) await(ctx context.Context, dmx *demux, ch chan *[]byte, sink *replySink, deadline time.Time, rt *retransmit) (broken bool, err error) {
+	overall := time.NewTimer(time.Until(deadline))
+	defer overall.Stop()
+	var tick <-chan time.Time
+	var retrans *time.Timer
+	if rt != nil {
+		retrans = time.NewTimer(rt.delay())
+		defer retrans.Stop()
+		tick = retrans.C
+	}
+	for {
+		select {
+		case bp := <-ch:
+			derr := sink.decode(*bp)
+			xdr.PutBuf(bp)
+			if !errors.Is(derr, errIllFormed) {
+				return false, derr
+			}
+			if rt == nil {
+				return false, fmt.Errorf("client: read reply: %w", derr)
+			}
+			continue
+		case <-tick:
+			next, serr := rt.fire()
+			if serr == nil {
+				if next > 0 {
+					retrans.Reset(next)
+				}
+				continue
+			}
+			err = serr
+		case <-overall.C:
+		case <-ctx.Done():
+		case <-dmx.done:
+			broken, err = true, dmx.error()
+		}
+		if ok, derr := drainReply(ch, sink); ok {
+			return false, derr
+		}
+		switch {
+		case broken && c.isClosed():
+			return true, ErrClosed
+		case err != nil:
+			return broken, err
+		case ctx.Err() != nil:
+			return false, ctx.Err()
+		}
+		return false, ErrTimeout
+	}
+}
+
+// errBudget reports a retry or redial suppressed by the token-bucket
+// budget: the client is failing faster than the policy lets it retry.
+var errBudget = errors.New("client: retry budget exhausted")
+
+// backoff is the sleep before stream retry n (1 for the first): it
+// spends one budget token, or counts the denial and returns errBudget,
+// then sleeps the policy's jittered delay. ctx and Close cut the sleep
+// short, returning ctx.Err() or ErrClosed.
+func (c *core) backoff(ctx context.Context, n int) error {
+	if !c.budget.take() {
+		c.stats.budgetDenied.Add(1)
+		return errBudget
+	}
+	t := time.NewTimer(c.policy.delay(n))
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-c.life.done:
+		return ErrClosed
+	}
+}
+
+// RetryStats reports the client's retransmission and retry counters.
+func (c *core) RetryStats() RetryStats { return c.stats.retryStats() }
+
+func (c *core) isClosed() bool { return c.life.isClosed() }
+
+// ---------------------------------------------------------------------------
+// UDP
+
+// UDP is a datagram client (CLIENT from clntudp_create): unreliable
+// transport, at-least-once semantics via retransmission, reply matched to
+// request by XID. Any number of goroutines may Call concurrently; each
+// call retransmits independently while a shared reader goroutine routes
+// replies.
+type UDP struct {
+	core
+	conn   net.PacketConn
+	server net.Addr
+
+	dmx       *demux
+	truncated atomic.Uint64
+	reader    sync.Once
+}
+
+// NewUDP returns a client sending calls for cfg.Prog/cfg.Vers to server
+// over conn. The caller retains ownership of conn's lifetime via Close.
+func NewUDP(conn net.PacketConn, server net.Addr, cfg Config) *UDP {
+	c := &UDP{conn: conn, server: server, dmx: newDemux()}
+	c.init(cfg, c, false)
+	return c
+}
+
+// roundTrip sends one datagram call and awaits its reply, retransmitting
+// on the schedule of retransmit.
+func (c *UDP) roundTrip(ctx context.Context, proc uint32, req callReq, sink replySink, deadline time.Time) error {
 	c.reader.Do(func() { go c.readLoop() })
 
 	xid, ch, err := registerCall(&c.xid, c.dmx)
@@ -666,7 +788,7 @@ func (c *UDP) doCall(ctx context.Context, proc uint32, req callReq, sink replySi
 	}
 	defer c.dmx.unregister(xid)
 
-	reqBuf, err := marshalReq(&c.cfg, c.tmpl, c.tmplErr, req, xid, proc, 0)
+	reqBuf, err := c.marshalReq(req, xid, proc, 0)
 	if err != nil {
 		return err
 	}
@@ -685,80 +807,48 @@ func (c *UDP) doCall(ctx context.Context, proc uint32, req callReq, sink replySi
 	if err := c.send(*reqBuf); err != nil {
 		return err
 	}
-	// attempt counts datagrams sent so far. With a policy the schedule is
-	// exponential backoff with full jitter, bounded by MaxAttempts and the
-	// retry budget; without one it is the classic fixed tick. Either way
-	// the deadline — not the attempt bound — ends the call: a stopped
-	// retransmission schedule still waits for a straggling reply.
-	deadline := callDeadline(ctx, c.cfg.Timeout)
-	overall := time.NewTimer(time.Until(deadline))
-	defer overall.Stop()
-	attempt := 1
-	next := c.cfg.Retransmit
-	if c.policy != nil {
-		next = c.policy.delay(attempt)
-	}
-	retrans := time.NewTimer(next)
-	defer retrans.Stop()
-	for {
-		select {
-		case bp := <-ch:
-			err := sink.decode(*bp)
-			xdr.PutBuf(bp)
-			if errors.Is(err, errIllFormed) {
-				continue // undecodable datagram: ignore, keep waiting
-			}
-			return err
-		case <-retrans.C:
-			if c.policy != nil {
-				if attempt >= c.policy.MaxAttempts {
-					continue // schedule exhausted: wait out the deadline
-				}
-				if !c.budget.take() {
-					// Suppressed, not failed: count it, keep the schedule
-					// running so a refilled bucket resumes retransmitting.
-					c.stats.budgetDenied.Add(1)
-					retrans.Reset(c.policy.delay(attempt))
-					continue
-				}
-			}
-			if err := c.send(*reqBuf); err != nil {
-				if ok, derr := drainReply(ch, &sink); ok {
-					return derr
-				}
-				return err
-			}
-			attempt++
-			c.stats.retransmits.Add(1)
-			if c.policy != nil {
-				retrans.Reset(c.policy.delay(attempt))
-			} else {
-				retrans.Reset(c.cfg.Retransmit)
-			}
-		case <-overall.C:
-			if ok, err := drainReply(ch, &sink); ok {
-				return err
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return ErrTimeout
-		case <-ctx.Done():
-			if ok, err := drainReply(ch, &sink); ok {
-				return err
-			}
-			return ctx.Err()
-		case <-c.dmx.done:
-			if ok, err := drainReply(ch, &sink); ok {
-				return err
-			}
-			return c.dmx.error()
-		}
-	}
+	_, err = c.await(ctx, c.dmx, ch, &sink, deadline, &retransmit{c: c, req: *reqBuf, sent: 1})
+	return err
 }
 
-// RetryStats reports the client's retransmission counters.
-func (c *UDP) RetryStats() RetryStats { return c.stats.retryStats() }
+// retransmit is one call's datagram retransmit schedule. With a policy
+// it is exponential backoff with full jitter, bounded by MaxAttempts and
+// the retry budget; without one it is the classic fixed tick. Either way
+// the deadline — not the attempt bound — ends the call: a stopped
+// schedule still waits for a straggling reply.
+type retransmit struct {
+	c    *UDP
+	req  []byte
+	sent int // datagrams sent so far
+}
+
+func (r *retransmit) delay() time.Duration {
+	if r.c.policy == nil {
+		return r.c.cfg.Retransmit
+	}
+	return r.c.policy.delay(r.sent)
+}
+
+// fire runs when the retransmit timer expires. It returns the delay
+// until the next expiry, or 0 once the schedule is exhausted.
+func (r *retransmit) fire() (time.Duration, error) {
+	c := r.c
+	if c.policy != nil && r.sent >= c.policy.MaxAttempts {
+		return 0, nil
+	}
+	if !c.budget.take() {
+		// Suppressed, not failed: count it, keep the schedule running
+		// so a refilled bucket resumes retransmitting.
+		c.stats.budgetDenied.Add(1)
+		return r.delay(), nil
+	}
+	if err := c.send(r.req); err != nil {
+		return 0, err
+	}
+	r.sent++
+	c.stats.retransmits.Add(1)
+	return r.delay(), nil
+}
 
 // InFlight reports how many calls currently hold a reply slot; it
 // returns to zero once every outstanding call finishes, times out, or
@@ -831,11 +921,16 @@ func (c *UDP) readLoop() {
 // (received length == BufSize) the reader has discarded.
 func (c *UDP) TruncatedDrops() uint64 { return c.truncated.Load() }
 
-func (c *UDP) isClosed() bool { return c.life.isClosed() }
-
-// Close releases the client and its socket. In-flight calls fail with
-// ErrClosed.
-func (c *UDP) Close() error { return c.life.closeOnce(c.conn, c.dmx) }
+// Close releases the client and its socket (which stops the reader).
+// In-flight calls fail with ErrClosed; repeat closes are no-ops.
+func (c *UDP) Close() error {
+	if !c.life.beginClose() {
+		return nil
+	}
+	err := c.conn.Close()
+	c.dmx.fail(ErrClosed)
+	return err
+}
 
 // ---------------------------------------------------------------------------
 // TCP
@@ -852,18 +947,7 @@ func (c *UDP) Close() error { return c.life.closeOnce(c.conn, c.dmx) }
 // the one-write-per-record baseline). CallBatched queues fire-and-forget
 // requests on the same writer.
 type TCP struct {
-	cfg     Config
-	tmpl    *rpcmsg.CallTemplate
-	tmplErr error // callTemplate's error, returned by every call
-
-	xid     atomic.Uint32
-	planned plannedProcs
-	life    lifecycle
-
-	policy *RetryPolicy             // nil → legacy single-connection client
-	budget *retryBudget             // shared by call retries and redials
-	redial func() (net.Conn, error) // nil → no transparent reconnect
-	stats  retryCounters
+	core
 
 	// connMu guards cur, redialCh — the connection generations. cur is the connection
 	// calls go out on; each generation owns its conn, demultiplexer,
@@ -879,8 +963,7 @@ type TCP struct {
 // tcpConn is one connection generation: everything whose lifetime is
 // the connection's, not the client's. The client-lifetime state — XID
 // counter, header template, fused/compiled codec cache, retry budget,
-// stats — lives on TCP and is reused across generations, which is what
-// makes reconnect cheap: a replacement connection recompiles nothing.
+// stats — lives in core and is reused across generations.
 type tcpConn struct {
 	conn   net.Conn
 	dmx    *demux
@@ -942,19 +1025,8 @@ func (c *TCP) newConn(conn net.Conn) *tcpConn {
 // when it breaks, the client redials under the retry policy and swaps in
 // a replacement generation transparently.
 func NewTCP(conn net.Conn, cfg Config) *TCP {
-	cfg.fill()
-	c := &TCP{cfg: cfg, life: newLifecycle(), redial: cfg.Redial}
-	c.tmpl, c.tmplErr = callTemplate(&cfg)
-	c.xid.Store(cfg.FirstXID)
-	if cfg.Retry != nil || cfg.Redial != nil {
-		var p RetryPolicy
-		if cfg.Retry != nil {
-			p = *cfg.Retry
-		}
-		p = p.norm(0)
-		c.policy = &p
-		c.budget = newRetryBudget(&p)
-	}
+	c := &TCP{}
+	c.init(cfg, c, true)
 	c.cur = c.newConn(conn)
 	return c
 }
@@ -972,17 +1044,12 @@ func DialTCP(network, addr string, cfg Config) (*TCP, error) {
 	return NewTCP(conn, cfg), nil
 }
 
-// current returns the live connection generation (nil only after Close
-// races the first use — cur is set before NewTCP returns).
+// current returns the live connection generation.
 func (c *TCP) current() *tcpConn {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
 	return c.cur
 }
-
-// errBudget reports a retry or redial suppressed by the token-bucket
-// budget: the client is failing faster than the policy lets it retry.
-var errBudget = errors.New("client: retry budget exhausted")
 
 // acquire returns a healthy connection generation, reconnecting if the
 // current one has failed. Without a Redial it returns the current
@@ -993,20 +1060,13 @@ var errBudget = errors.New("client: retry budget exhausted")
 func (c *TCP) acquire(ctx context.Context, deadline time.Time) (*tcpConn, error) {
 	for {
 		c.connMu.Lock()
-		if c.life.isClosed() {
+		if c.isClosed() {
 			c.connMu.Unlock()
 			return nil, ErrClosed
 		}
 		tc := c.cur
-		if tc != nil && tc.dmx.error() == nil {
+		if tc.dmx.error() == nil || c.cfg.Redial == nil {
 			c.connMu.Unlock()
-			return tc, nil
-		}
-		if c.redial == nil {
-			c.connMu.Unlock()
-			if tc == nil {
-				return nil, ErrClosed
-			}
 			return tc, nil
 		}
 		if c.redialCh == nil {
@@ -1042,10 +1102,10 @@ func (c *TCP) acquire(ctx context.Context, deadline time.Time) (*tcpConn, error)
 }
 
 // reconnect retires the dead generation and dials its replacement under
-// the retry policy: each attempt after the first spends a budget token
-// and backs off with full jitter, interruptible by Close. On success
-// the replacement is installed as cur (unless Close won the race, in
-// which case the fresh connection is closed again).
+// the retry policy: each attempt after the first backs off (a budget
+// token and a jittered sleep, interruptible by Close). On success the
+// replacement is installed as cur (unless Close won the race, in which
+// case the fresh connection is closed again).
 func (c *TCP) reconnect(old *tcpConn) error {
 	if old != nil {
 		_ = old.conn.Close()
@@ -1053,22 +1113,19 @@ func (c *TCP) reconnect(old *tcpConn) error {
 	var lastErr error
 	for attempt := 1; attempt <= c.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			if !c.budget.take() {
-				c.stats.budgetDenied.Add(1)
-				return fmt.Errorf("client: reconnect: %w", errBudget)
-			}
-			backoff := time.NewTimer(c.policy.delay(attempt - 1))
-			select {
-			case <-backoff.C:
-			case <-c.life.done:
-				backoff.Stop()
-				return ErrClosed
+			// The redial serves every call waiting on it, so no one
+			// call's ctx may end it; only Close does.
+			if err := c.backoff(context.Background(), attempt-1); err != nil {
+				if errors.Is(err, errBudget) {
+					return fmt.Errorf("client: reconnect: %w", err)
+				}
+				return err
 			}
 		}
-		if c.life.isClosed() {
+		if c.isClosed() {
 			return ErrClosed
 		}
-		conn, err := c.redial()
+		conn, err := c.cfg.Redial()
 		if err != nil {
 			c.stats.redialFailures.Add(1)
 			lastErr = err
@@ -1076,7 +1133,7 @@ func (c *TCP) reconnect(old *tcpConn) error {
 		}
 		tc := c.newConn(conn)
 		c.connMu.Lock()
-		if c.life.isClosed() {
+		if c.isClosed() {
 			c.connMu.Unlock()
 			_ = conn.Close()
 			return ErrClosed
@@ -1089,35 +1146,7 @@ func (c *TCP) reconnect(old *tcpConn) error {
 	return fmt.Errorf("client: reconnect: %w", lastErr)
 }
 
-// Call performs one call over the stream: one record out, one record
-// back, with the wait multiplexed so concurrent calls share the
-// connection. The arguments are marshaled into a pooled buffer outside
-// the write lock, so slow marshaling never blocks other senders.
-func (c *TCP) Call(proc uint32, args, reply Marshal) error {
-	return c.doCall(context.Background(), proc, callReq{args: args}, replySink{fn: reply})
-}
-
-// CallCtx is Call with a per-call context; see (*UDP).CallCtx. Over the
-// stream the context deadline also bounds the shared record write (the
-// batcher arms the connection's write deadline from the earliest
-// deadline in each batch).
-func (c *TCP) CallCtx(ctx context.Context, proc uint32, args, reply Marshal) error {
-	return c.doCall(ctx, proc, callReq{args: args}, replySink{fn: reply})
-}
-
-// callPlanned is the fused entry point CallTyped routes typed calls
-// through; see (*UDP).callPlanned.
-func (c *TCP) callPlanned(ctx context.Context, proc uint32, argc *wire.Codec, arg unsafe.Pointer, resc *wire.Codec, res unsafe.Pointer) (bool, error) {
-	e := c.planned.lookup(c.tmpl, proc, argc, resc)
-	if e == nil {
-		return false, nil
-	}
-	return true, c.doCall(ctx, proc,
-		callReq{cc: e.call, argp: arg},
-		replySink{rc: e.rep, resc: resc, resp: res})
-}
-
-// doCall drives one call to completion, possibly across connection
+// roundTrip drives one call to completion, possibly across connection
 // generations. Each attempt runs on the then-current generation; a
 // transport failure is classified by whether the request could have
 // reached the server. "Definitely not sent" failures (the batcher
@@ -1126,16 +1155,9 @@ func (c *TCP) callPlanned(ctx context.Context, proc uint32, argc *wire.Codec, ar
 // (the record was handed to the wire before the connection died) are
 // retried only under RetryPolicy.RetryAmbiguous, because the stream
 // path has no duplicate-request cache to absorb a re-execution.
-func (c *TCP) doCall(ctx context.Context, proc uint32, req callReq, sink replySink) error {
-	if c.isClosed() {
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	deadline := callDeadline(ctx, c.cfg.Timeout)
+func (c *TCP) roundTrip(ctx context.Context, proc uint32, req callReq, sink replySink, deadline time.Time) error {
 	maxAttempts := 1
-	if c.policy != nil && c.redial != nil {
+	if c.policy != nil && c.cfg.Redial != nil {
 		maxAttempts = c.policy.MaxAttempts
 	}
 	var lastErr error
@@ -1145,33 +1167,25 @@ func (c *TCP) doCall(ctx context.Context, proc uint32, req callReq, sink replySi
 			if lastSent && !c.policy.RetryAmbiguous {
 				break
 			}
-			if !c.budget.take() {
-				c.stats.budgetDenied.Add(1)
-				lastErr = fmt.Errorf("%w (%w)", lastErr, errBudget)
+			if err := c.backoff(ctx, attempt-1); err != nil {
+				if !errors.Is(err, errBudget) {
+					return err
+				}
+				lastErr = fmt.Errorf("%w (%w)", lastErr, err)
 				break
-			}
-			backoff := time.NewTimer(c.policy.delay(attempt - 1))
-			select {
-			case <-backoff.C:
-			case <-ctx.Done():
-				backoff.Stop()
-				return ctx.Err()
-			case <-c.life.done:
-				backoff.Stop()
-				return ErrClosed
 			}
 			if time.Now().After(deadline) {
 				break
 			}
 			c.stats.retries.Add(1)
 		}
-		final, err, sent := c.attemptOnce(ctx, proc, req, sink, deadline)
+		final, err, sent := c.attemptOnce(ctx, proc, req, &sink, deadline)
 		if final {
 			return err
 		}
 		lastErr, lastSent = err, sent
 	}
-	if c.redial == nil {
+	if c.cfg.Redial == nil {
 		return lastErr
 	}
 	return &TransportError{Err: lastErr, MaybeSent: lastSent}
@@ -1182,7 +1196,7 @@ func (c *TCP) doCall(ctx context.Context, proc uint32, req callReq, sink replySi
 // timeout, cancellation, closed client); final=false means a transport
 // failure the retry loop may act on, with sent reporting whether the
 // request could have reached the server.
-func (c *TCP) attemptOnce(ctx context.Context, proc uint32, req callReq, sink replySink, deadline time.Time) (final bool, err error, sent bool) {
+func (c *TCP) attemptOnce(ctx context.Context, proc uint32, req callReq, sink *replySink, deadline time.Time) (final bool, err error, sent bool) {
 	tc, aerr := c.acquire(ctx, deadline)
 	if aerr != nil {
 		if errors.Is(aerr, ErrClosed) || errors.Is(aerr, ErrTimeout) ||
@@ -1208,7 +1222,7 @@ func (c *TCP) attemptOnce(ctx context.Context, proc uint32, req callReq, sink re
 	// The record mark is reserved at the head of the marshal buffer, so
 	// the record layer patches it in place and the whole call leaves in
 	// one Write — the message is never copied into the fragment buffer.
-	reqBuf, merr := marshalReq(&c.cfg, c.tmpl, c.tmplErr, req, xid, proc, xdr.RecordMarkLen)
+	reqBuf, merr := c.marshalReq(req, xid, proc, xdr.RecordMarkLen)
 	if merr != nil {
 		return true, merr, false
 	}
@@ -1228,68 +1242,24 @@ func (c *TCP) attemptOnce(ctx context.Context, proc uint32, req callReq, sink re
 		return false, fmt.Errorf("client: send record: %w", werr), !errors.Is(werr, xdr.ErrRejected)
 	}
 
-	overall := time.NewTimer(time.Until(deadline))
-	defer overall.Stop()
-	select {
-	case bp := <-ch:
-		derr := sink.decode(*bp)
-		xdr.PutBuf(bp)
-		if errors.Is(derr, errIllFormed) {
-			return true, fmt.Errorf("client: read reply: %w", derr), true
-		}
-		return true, derr, true
-	case <-overall.C:
-		if ok, derr := drainReply(ch, &sink); ok {
-			return true, derr, true
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return true, cerr, true
-		}
-		return true, ErrTimeout, true
-	case <-ctx.Done():
-		if ok, derr := drainReply(ch, &sink); ok {
-			return true, derr, true
-		}
-		return true, ctx.Err(), true
-	case <-tc.dmx.done:
-		if ok, derr := drainReply(ch, &sink); ok {
-			return true, derr, true
-		}
-		if c.isClosed() {
-			return true, ErrClosed, false
-		}
-		// The request was handed to the wire before the generation died:
-		// the server may have executed it even though no reply arrived.
-		return false, tc.dmx.error(), true
-	}
+	// A generation that broke with the client still open had the request
+	// handed to its wire: the server may have executed it even though no
+	// reply arrived.
+	broken, err := c.await(ctx, tc.dmx, ch, sink, deadline, nil)
+	return !broken || errors.Is(err, ErrClosed), err, true
 }
-
-// RetryStats reports the client's retry counters.
-func (c *TCP) RetryStats() RetryStats { return c.stats.retryStats() }
 
 // ReconnectStats reports the client's transparent-reconnect counters.
 func (c *TCP) ReconnectStats() ReconnectStats { return c.stats.reconnectStats() }
 
 // InFlight reports how many calls currently hold a reply slot on the
 // live connection generation; see (*UDP).InFlight.
-func (c *TCP) InFlight() int {
-	tc := c.current()
-	if tc == nil {
-		return 0
-	}
-	return tc.dmx.inFlight()
-}
+func (c *TCP) InFlight() int { return c.current().dmx.inFlight() }
 
 // QueuedRecords reports how many records sit unflushed in the live
 // generation's batcher queue (leak gauge: cancelled and failed calls
 // must not strand entries there).
-func (c *TCP) QueuedRecords() int {
-	tc := c.current()
-	if tc == nil {
-		return 0
-	}
-	return tc.batch.Pending()
-}
+func (c *TCP) QueuedRecords() int { return c.current().batch.Pending() }
 
 // CallBatched issues one ONC batched (fire-and-forget) call: the request
 // is marshaled and queued on the connection's record writer, and no
@@ -1307,9 +1277,6 @@ func (c *TCP) QueuedRecords() int {
 // original: a datagram transport would need retransmission, which needs
 // a reply.
 func (c *TCP) CallBatched(proc uint32, args Marshal) error {
-	if c.isClosed() {
-		return ErrClosed
-	}
 	tc, aerr := c.acquire(context.Background(), time.Now().Add(c.cfg.Timeout))
 	if aerr != nil {
 		return aerr
@@ -1319,7 +1286,7 @@ func (c *TCP) CallBatched(proc uint32, args Marshal) error {
 	// someone must drain those records off the connection.
 	tc.start(c)
 	xid := c.xid.Add(1)
-	reqBuf, err := marshalReq(&c.cfg, c.tmpl, c.tmplErr, callReq{args: args}, xid, proc, xdr.RecordMarkLen)
+	reqBuf, err := c.marshalReq(callReq{args: args}, xid, proc, xdr.RecordMarkLen)
 	if err != nil {
 		return err
 	}
@@ -1336,11 +1303,7 @@ func (c *TCP) CallBatched(proc uint32, args Marshal) error {
 // Call. A failure here poisons the connection like any other write
 // failure.
 func (c *TCP) Flush() error {
-	tc := c.current()
-	if tc == nil {
-		return ErrClosed
-	}
-	if err := tc.batch.Flush(); err != nil {
+	if err := c.current().batch.Flush(); err != nil {
 		if c.isClosed() {
 			return ErrClosed
 		}
@@ -1376,8 +1339,6 @@ func (c *TCP) readLoop(tc *tcpConn) {
 	}
 }
 
-func (c *TCP) isClosed() bool { return c.life.isClosed() }
-
 // Close flushes any queued batched calls, then releases the client and
 // its connection. In-flight calls fail with ErrClosed; a flush failure
 // is reported once close itself succeeded (repeat closes stay nil — the
@@ -1388,12 +1349,7 @@ func (c *TCP) Close() error {
 	if !c.life.beginClose() {
 		return nil
 	}
-	c.connMu.Lock()
-	tc := c.cur
-	c.connMu.Unlock()
-	if tc == nil {
-		return nil
-	}
+	tc := c.current()
 	ferr := tc.batch.Flush()
 	err := tc.conn.Close()
 	tc.dmx.fail(ErrClosed)
@@ -1407,21 +1363,13 @@ func (c *TCP) Close() error {
 // are written against it.
 type Caller interface {
 	Call(proc uint32, args, reply Marshal) error
-	Close() error
-}
-
-// CtxCaller extends Caller with per-call contexts; both transports
-// satisfy it.
-type CtxCaller interface {
-	Caller
 	CallCtx(ctx context.Context, proc uint32, args, reply Marshal) error
+	Close() error
 }
 
 var (
 	_ Caller        = (*UDP)(nil)
 	_ Caller        = (*TCP)(nil)
-	_ CtxCaller     = (*UDP)(nil)
-	_ CtxCaller     = (*TCP)(nil)
 	_ plannedCaller = (*UDP)(nil)
 	_ plannedCaller = (*TCP)(nil)
 )

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -386,5 +387,89 @@ func TestUDPRetransmitAfterDrop(t *testing.T) {
 	}
 	if s := sends.Load(); s < 2 {
 		t.Fatalf("saw %d request sends, want a retransmission", s)
+	}
+}
+
+// illFormedReply is a reply that carries xid but whose header stops
+// after the reply status: no verifier, so the header walk fails and
+// the reply decodes as errIllFormed.
+func illFormedReply(xid uint32) []byte {
+	return binary.BigEndian.AppendUint32(
+		binary.BigEndian.AppendUint32(
+			binary.BigEndian.AppendUint32(nil, xid), uint32(rpcmsg.Reply)),
+		uint32(rpcmsg.MsgAccepted))
+}
+
+// TestUDPIllFormedReplyIgnored pins the datagram half of the reply
+// wait's ill-formed-reply rule: an undecodable datagram carrying the
+// call's XID is ignored, as clntudp_call ignored it, and the call
+// completes on the next valid reply (here the answer to its
+// retransmission).
+func TestUDPIllFormedReplyIgnored(t *testing.T) {
+	n := netsim.New()
+	sep := n.Attach("server")
+	defer sep.Close()
+	var requests atomic.Int32
+	go func() {
+		buf := make([]byte, 9000)
+		for {
+			nr, from, err := sep.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			xid, ok := rpcmsg.PeekXID(buf[:nr])
+			if !ok {
+				continue
+			}
+			reply := illFormedReply(xid)
+			if requests.Add(1) > 1 {
+				reply = successReplyBytes(t, xid, 77)
+			}
+			if _, err := sep.WriteTo(reply, from); err != nil {
+				return
+			}
+		}
+	}()
+	c := NewUDP(n.Attach("client"), netsim.Addr("server"), Config{
+		Prog: 1, Vers: 1,
+		Timeout:    5 * time.Second,
+		Retransmit: 20 * time.Millisecond,
+	})
+	defer c.Close()
+
+	var got uint32
+	if err := c.Call(1, Void, func(x *xdr.XDR) error { return x.Uint32(&got) }); err != nil {
+		t.Fatalf("Call after an ill-formed reply = %v, want the next valid reply", err)
+	}
+	if got != 77 {
+		t.Fatalf("result = %d, want 77", got)
+	}
+	if r := requests.Load(); r < 2 {
+		t.Fatalf("server saw %d requests, want the call to outlive the ill-formed reply", r)
+	}
+}
+
+// TestTCPIllFormedReplyFails pins the stream half of the same rule: a
+// record-marked reply whose header does not decode fails the call, as
+// a read error, instead of leaving it waiting for a reply that cannot
+// come.
+func TestTCPIllFormedReplyFails(t *testing.T) {
+	p1, p2 := net.Pipe()
+	defer p2.Close()
+	go func() {
+		rec, err := readRecord(p2)
+		if err != nil || len(rec) < 8 {
+			return
+		}
+		body := illFormedReply(binary.BigEndian.Uint32(rec[4:]))
+		mark := binary.BigEndian.AppendUint32(nil, 1<<31|uint32(len(body)))
+		_, _ = p2.Write(append(mark, body...))
+	}()
+	c := NewTCP(p1, Config{Prog: 1, Vers: 1, Timeout: 5 * time.Second})
+	defer c.Close()
+
+	err := c.Call(1, Void, Void)
+	if !errors.Is(err, errIllFormed) || !strings.HasPrefix(err.Error(), "client: read reply: ") {
+		t.Fatalf("err = %v, want a read-reply error wrapping errIllFormed", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -311,5 +312,75 @@ func TestTransportErrorAmbiguousSurfaces(t *testing.T) {
 	case <-dialed:
 		t.Fatal("ambiguous failure was retried without RetryAmbiguous")
 	default:
+	}
+}
+
+// deadPipe returns the client end of a pipe whose peer is already
+// closed: every call on it fails as soon as it is written.
+func deadPipe() net.Conn {
+	p1, p2 := net.Pipe()
+	_ = p2.Close()
+	return p1
+}
+
+// TestTCPRetryBudgetDeniesCallRetry pins the call-retry site of the
+// stream backoff: the first retry spends the budget's only token, the
+// second is denied. The call fails with a *TransportError that wraps
+// errBudget, and the denial is counted.
+func TestTCPRetryBudgetDeniesCallRetry(t *testing.T) {
+	c := NewTCP(deadPipe(), Config{
+		Prog: 1, Vers: 1, FirstXID: 10,
+		Timeout: 5 * time.Second,
+		Retry: &RetryPolicy{
+			MaxAttempts:    4,
+			BaseDelay:      time.Millisecond,
+			MaxDelay:       time.Millisecond,
+			RetryAmbiguous: true,
+			BudgetRate:     0.001, // effectively no refill during the test
+			BudgetBurst:    1,
+		},
+		Redial: func() (net.Conn, error) { return deadPipe(), nil },
+	})
+	defer c.Close()
+
+	err := c.Call(1, Void, Void)
+	var te *TransportError
+	if !errors.As(err, &te) || !errors.Is(err, errBudget) {
+		t.Fatalf("err = %v, want a *TransportError wrapping errBudget", err)
+	}
+	if st := c.RetryStats(); st.Retries != 1 || st.BudgetDenied != 1 {
+		t.Fatalf("retries = %d, budget denials = %d, want 1 and 1", st.Retries, st.BudgetDenied)
+	}
+}
+
+// TestTCPRetryBudgetDeniesRedial pins the reconnect site of the same
+// backoff: the call retry spends the only token, the first re-dial
+// (free) fails, and the second is denied. The call fails with the
+// reconnect's budget error.
+func TestTCPRetryBudgetDeniesRedial(t *testing.T) {
+	c := NewTCP(deadPipe(), Config{
+		Prog: 1, Vers: 1, FirstXID: 10,
+		Timeout: 5 * time.Second,
+		Retry: &RetryPolicy{
+			MaxAttempts:    4,
+			BaseDelay:      time.Millisecond,
+			MaxDelay:       time.Millisecond,
+			RetryAmbiguous: true,
+			BudgetRate:     0.001,
+			BudgetBurst:    1,
+		},
+		Redial: func() (net.Conn, error) { return nil, errors.New("dial refused") },
+	})
+	defer c.Close()
+
+	err := c.Call(1, Void, Void)
+	if !errors.Is(err, errBudget) || !strings.Contains(err.Error(), "client: reconnect: client: retry budget exhausted") {
+		t.Fatalf("err = %v, want the reconnect's budget error", err)
+	}
+	if st := c.RetryStats(); st.BudgetDenied != 1 {
+		t.Fatalf("budget denials = %d, want 1", st.BudgetDenied)
+	}
+	if rc := c.ReconnectStats(); rc.RedialFailures != 1 || rc.Reconnects != 0 {
+		t.Fatalf("redial failures = %d, reconnects = %d, want 1 and 0", rc.RedialFailures, rc.Reconnects)
 	}
 }

@@ -27,9 +27,7 @@ func CallTyped[A, R any](c Caller, proc uint32, args *wire.Plan[A], arg *A, resu
 
 // CallTypedCtx is CallTyped with a per-call context: the context's
 // deadline and cancellation compose with the client's global timeout
-// exactly as in CallCtx, on both the fused and the closure path (the
-// closure fallback requires the transport to implement CtxCaller; a
-// plain Caller falls back to Call and ignores the context).
+// exactly as in CallCtx, on both the fused and the closure path.
 func CallTypedCtx[A, R any](ctx context.Context, c Caller, proc uint32, args *wire.Plan[A], arg *A, results *wire.Plan[R], res *R) error {
 	if pc, ok := c.(plannedCaller); ok {
 		var argc, resc *wire.Codec
@@ -52,8 +50,5 @@ func CallTypedCtx[A, R any](ctx context.Context, c Caller, proc uint32, args *wi
 	if results != nil {
 		rm = func(x *xdr.XDR) error { return results.Marshal(x, res) }
 	}
-	if cc, ok := c.(CtxCaller); ok {
-		return cc.CallCtx(ctx, proc, am, rm)
-	}
-	return c.Call(proc, am, rm)
+	return c.CallCtx(ctx, proc, am, rm)
 }
