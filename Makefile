@@ -87,14 +87,17 @@ batch-smoke:
 	$(GO) run ./cmd/sunbench -batch -transport udp,tcp -clients 2 -depth 8 -calls 2000
 
 # Short native-fuzz smoke over the decode boundary (the record-marking
-# reader and the RPC call-header decoder, fed raw bytes), the header
+# reader and the RPC call-header decoder, fed raw bytes), the record
+# reader's read-ahead differential (bytes split at arbitrary points ==
+# the same bytes in one read), the header
 # template differentials (template bytes == generic marshaler bytes),
 # the call-body accept-set differential (fixed-offset parse == header
 # walker), the whole-call fusion differentials (fused bytes ==
 # template-copy + plan bytes), and the derivation differential
 # (tempo-derived plan == hand-built plan, bytes and errors alike).
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzRecRead -fuzztime=10s ./internal/xdr
+	$(GO) test -run=NONE -fuzz='FuzzRecRead$$' -fuzztime=10s ./internal/xdr
+	$(GO) test -run=NONE -fuzz=FuzzRecReadChunked -fuzztime=10s ./internal/xdr
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCallHeader -fuzztime=10s ./internal/rpcmsg
 	$(GO) test -run=NONE -fuzz=FuzzCallTemplate -fuzztime=10s ./internal/rpcmsg
 	$(GO) test -run=NONE -fuzz='FuzzReplyTemplate$$' -fuzztime=10s ./internal/rpcmsg

@@ -122,6 +122,7 @@ type report struct {
 		Depth             int     `json:"depth"`
 		N                 int     `json:"n"`
 		ClientWritesPerOp float64 `json:"client_writes_per_op"`
+		ClientReadsPerOp  float64 `json:"client_reads_per_op"`
 		ServerWritesPerOp float64 `json:"server_writes_per_op"`
 		ServerReadsPerOp  float64 `json:"server_reads_per_op"`
 	} `json:"batch"`
@@ -196,6 +197,9 @@ func (r *report) series() map[string]float64 {
 	for _, b := range r.Batch {
 		base := fmt.Sprintf("batch/%s/%s/c%d_d%d/N=%d", b.Transport, b.Mode, b.Clients, b.Depth, b.N)
 		out[base+"/cliW_op"] = b.ClientWritesPerOp
+		if b.ClientReadsPerOp > 0 { // counted on stream transports only
+			out[base+"/cliR_op"] = b.ClientReadsPerOp
+		}
 		out[base+"/srvW_op"] = b.ServerWritesPerOp
 		out[base+"/srvR_op"] = b.ServerReadsPerOp
 	}

@@ -106,6 +106,9 @@ type BatchResult struct {
 	// the headline number: 1.0 unbatched, shrinking toward 1/Depth under
 	// coalescing and to 1/batchGroup in "calls" mode.
 	ClientWritesPerOp float64 `json:"client_writes_per_op"`
+	// ClientReadsPerOp is reply-read syscalls per call on the client,
+	// counted on TCP only (0 on UDP rows).
+	ClientReadsPerOp float64 `json:"client_reads_per_op,omitempty"`
 	// ServerWritesPerOp / ServerReadsPerOp are the server-side reply and
 	// request syscalls per call (UDP: sendmmsg/recvmmsg calls per call).
 	ServerWritesPerOp float64 `json:"server_writes_per_op"`
@@ -197,6 +200,7 @@ func batchTCP(o BatchOptions) (BatchResult, error) {
 	}
 	res := newBatchResult(o, elapsed)
 	res.ClientWritesPerOp = perOp(cliWrites.Load(), o.Calls)
+	res.ClientReadsPerOp = perOp(cliReads.Load(), o.Calls)
 	res.ServerWritesPerOp = perOp(srvWrites.Load(), o.Calls)
 	res.ServerReadsPerOp = perOp(srvReads.Load(), o.Calls)
 	return res, nil
@@ -340,13 +344,17 @@ func driveBatch(o BatchOptions, callerFor func(i int) client.Caller) (time.Durat
 func FormatBatch(rows []BatchResult) string {
 	var sb strings.Builder
 	sb.WriteString("Batch: syscalls per call, counted via conn shims (tcp) / batch-I/O layer (udp)\n")
-	fmt.Fprintf(&sb, "%-9s %-6s %8s %6s %7s %12s %9s %9s %9s %6s\n",
+	fmt.Fprintf(&sb, "%-9s %-6s %8s %6s %7s %12s %9s %9s %9s %9s %6s\n",
 		"Transport", "Mode", "Clients", "Depth", "Calls", "Calls/s",
-		"cliW/op", "srvW/op", "srvR/op", "mmsg")
+		"cliW/op", "cliR/op", "srvW/op", "srvR/op", "mmsg")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-9s %-6s %8d %6d %7d %12.0f %9.3f %9.3f %9.3f %6v\n",
+		cliR := "-" // not counted on datagram rows
+		if r.ClientReadsPerOp > 0 {
+			cliR = fmt.Sprintf("%.3f", r.ClientReadsPerOp)
+		}
+		fmt.Fprintf(&sb, "%-9s %-6s %8d %6d %7d %12.0f %9.3f %9s %9.3f %9.3f %6v\n",
 			r.Transport, r.Mode, r.Clients, r.Depth, r.Calls, r.CallsPerSec,
-			r.ClientWritesPerOp, r.ServerWritesPerOp, r.ServerReadsPerOp, r.Batched)
+			r.ClientWritesPerOp, cliR, r.ServerWritesPerOp, r.ServerReadsPerOp, r.Batched)
 	}
 	return sb.String()
 }

@@ -83,6 +83,27 @@ func TestBatchTCPOnBounded(t *testing.T) {
 	}
 }
 
+// TestBatchTCPReadsPerOp: with one call in flight, each request and
+// each reply arrives as one whole record, and the record reader takes
+// its mark and body in one read. So reads/op is 1 on both ends, plus
+// the read that sees the connection close; the bound is the one
+// TestBatchUDPModes uses. Reading the mark and the body separately
+// gave 2.
+func TestBatchTCPReadsPerOp(t *testing.T) {
+	for _, mode := range []string{"off", "on"} {
+		res := runBatch(t, BatchOptions{Transport: "tcp", Mode: mode,
+			Clients: 1, Depth: 1, Calls: 64})
+		for _, end := range []struct {
+			name  string
+			reads float64
+		}{{"client", res.ClientReadsPerOp}, {"server", res.ServerReadsPerOp}} {
+			if end.reads <= 0 || end.reads > 1.1 {
+				t.Fatalf("%s: %s reads/op = %v, want in (0, 1.1]", mode, end.name, end.reads)
+			}
+		}
+	}
+}
+
 // TestBatchUDPModes: both datagram modes run end to end over real
 // loopback sockets and report server-side counters from the batch-I/O
 // layer; each recvmmsg/recvfrom call yields at least one message, so

@@ -760,8 +760,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var calls sync.WaitGroup
 	defer calls.Wait()
 	defer conn.Close()
-	rc := &readCounter{Conn: conn}
-	rrec := xdr.NewRecStream(rc, 0)
+	rrec := xdr.NewRecStream(conn, 0)
 	wb := xdr.NewRecBatcher(xdr.NewRecStream(conn, 0))
 	// A failed reply write leaves the record stream unusable; close the
 	// connection so the read loop exits and the peer fails fast instead
@@ -787,7 +786,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// datagram, a TCP record may exceed the datagram buffer size,
 		// so the buffer grows as needed.
 		bp := xdr.GetBuf(s.bufSize)
-		req, err := s.readRecordIdle(rc, rrec, (*bp)[:0], &inFlight, &completed)
+		req, err := s.readRecordIdle(conn, rrec, (*bp)[:0], &inFlight, &completed)
 		*bp = req
 		if err != nil {
 			xdr.PutBuf(bp)
@@ -824,43 +823,29 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// readCounter wraps the connection the record reader consumes, counting
-// bytes so the idle reaper can tell "timed out with nothing on the
-// wire" (retriable, reapable) from "timed out mid-record" (the record
-// layer cannot resume a half-read record, so the connection is done).
-// Only the connection's read goroutine touches n.
-type readCounter struct {
-	net.Conn
-	n int64
-}
-
-func (r *readCounter) Read(p []byte) (int, error) {
-	n, err := r.Conn.Read(p)
-	r.n += int64(n)
-	return n, err
-}
-
 // readRecordIdle reads one request record, enforcing the idle timeout
 // when one is configured. The deadline re-arms as long as the window
 // saw any sign of life — a handler still running, or one that finished
 // (its client is likely composing the next call) — so only a
 // connection that stayed truly silent for a full window is reaped and
-// counted. Bytes arriving mid-window reset nothing: a record either
-// completes within the window or the stream is declared stalled.
-func (s *Server) readRecordIdle(rc *readCounter, rrec *xdr.RecStream, dst []byte,
+// counted. Bytes arriving mid-window reset nothing: a timeout after any
+// byte of the next record was received, including bytes an earlier read
+// took in ahead of it, is a stall mid-record, which the record layer
+// cannot resume, so the connection ends.
+func (s *Server) readRecordIdle(conn net.Conn, rrec *xdr.RecStream, dst []byte,
 	inFlight, completed *atomic.Int64) ([]byte, error) {
 	if s.idleTimeout <= 0 {
 		return rrec.ReadRecord(dst)
 	}
 	for {
-		read0, done0 := rc.n, completed.Load()
-		_ = rc.SetReadDeadline(time.Now().Add(s.idleTimeout))
+		done0 := completed.Load()
+		_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		out, err := rrec.ReadRecord(dst)
 		if err == nil {
 			return out, nil
 		}
 		var ne net.Error
-		if !errors.As(err, &ne) || !ne.Timeout() || rc.n != read0 {
+		if !errors.As(err, &ne) || !ne.Timeout() || rrec.InRecord() {
 			return out, err // closed, broken framing, or stalled mid-record
 		}
 		if inFlight.Load() > 0 || completed.Load() != done0 {

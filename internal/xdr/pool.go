@@ -31,10 +31,15 @@ func GetBuf(n int) *[]byte {
 	return bp
 }
 
-// maxPoolBuf is the largest capacity PutBuf keeps. Buffers grown past it
-// (a huge TCP record, say) are dropped for the GC instead of circulating
-// forever in the pool serving ordinary datagram-sized calls.
-const maxPoolBuf = 64 << 10
+// maxPoolBuf is the largest capacity PutBuf keeps. It is derived from
+// the record reader's growth step: ReadRecord takes a record of up to
+// maxFragStep bytes in one growth, and slice growth at most doubles the
+// capacity asked for, so every buffer that held such a record (a bulk
+// TCP call or reply, say) goes back to the pool instead of being
+// re-allocated per call. Buffers grown past it by longer records are
+// dropped for the GC, so they do not circulate in the pool serving
+// ordinary datagram-sized calls.
+const maxPoolBuf = 2 * maxFragStep
 
 // PutBuf returns a buffer borrowed with GetBuf to the pool. The caller
 // must not retain *bp afterwards.

@@ -1,6 +1,9 @@
 package xdr
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func TestGetBufCapacityAndReuse(t *testing.T) {
 	bp := GetBuf(100)
@@ -111,5 +114,53 @@ func BenchmarkMarshalFreshBuf(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestPutBufKeepsRecordSizedBuffers pins the pool bound against the
+// record reader: a buffer that took a maxFragStep record in one
+// ReadRecord step goes back to the pool, and one grown past maxPoolBuf
+// does not. sync.Pool may drop a Put (it does so at random under the
+// race detector) or hand the buffer to another P, so the positive check
+// retries; nothing makes Get return a buffer that was never kept.
+func TestPutBufKeepsRecordSizedBuffers(t *testing.T) {
+	var wire bytes.Buffer
+	if err := NewRecStream(&wire, 0).WriteRecord(make([]byte, RecordMarkLen+maxFragStep)); err != nil {
+		t.Fatal(err)
+	}
+	bp := GetBuf(0)
+	rec, err := NewRecStream(&wire, 0).ReadRecord((*bp)[:0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	*bp = rec
+	if cap(rec) > maxPoolBuf {
+		t.Fatalf("a %d-byte record left cap %d, past the %d pool bound", maxFragStep, cap(rec), maxPoolBuf)
+	}
+	kept := false
+	for i := 0; i < 20 && !kept; i++ {
+		PutBuf(bp)
+		got := GetBuf(0)
+		kept = got == bp
+		if !kept {
+			PutBuf(got)
+		}
+	}
+	if !kept {
+		t.Fatalf("record-sized buffer (cap %d) never came back from the pool", cap(*bp))
+	}
+
+	big := make([]byte, 0, maxPoolBuf+1)
+	PutBuf(&big)
+	var held []*[]byte
+	for i := 0; i < 8; i++ {
+		got := GetBuf(0)
+		if cap(*got) > maxPoolBuf {
+			t.Fatalf("pool returned a buffer of cap %d, past the %d bound", cap(*got), maxPoolBuf)
+		}
+		held = append(held, got)
+	}
+	for _, b := range held {
+		PutBuf(b)
 	}
 }

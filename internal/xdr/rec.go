@@ -3,6 +3,7 @@ package xdr
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
 // RecStream is the record-marking stream of xdr_rec.c used by RPC over
@@ -13,11 +14,18 @@ import (
 // A connection-oriented transport needs this layer because, unlike UDP,
 // TCP gives no message boundaries; the record marks let one reply be
 // delimited without knowing its encoded size in advance.
+//
+// The read side reads ahead, as xdr_rec.c does: it parses marks and
+// short bodies out of one receive buffer, so bytes are taken from the
+// underlying reader in buffer-sized reads rather than record by record,
+// and may run past the record being read. A RecStream must therefore
+// be the only reader of its stream.
 type RecStream struct {
 	rw io.ReadWriter
 
 	// Write (encode) state.
-	wbuf  []byte // pending fragment payload
+	wfrag int    // payload capacity of one outgoing fragment
+	wbuf  []byte // pending fragment payload, allocated on first PutBytes
 	wpos  int    // bytes of wbuf filled
 	sent  int    // bytes already flushed in the current record
 	werr  error  // sticky write error
@@ -29,7 +37,11 @@ type RecStream struct {
 	wqBytes int
 	wcoal   []byte // scratch for the coalesced single-Write path
 
-	// Read (decode) state.
+	// Read (decode) state. Received bytes not yet consumed are
+	// rbuf[rpos:rend]; they may run past the current record.
+	rbuf  []byte // receive buffer of readAhead bytes, allocated on first read
+	rpos  int
+	rend  int
 	rfrag int  // bytes remaining in the current fragment
 	rlast bool // current fragment is the record's last
 	rcons int  // bytes consumed of the current record
@@ -50,7 +62,7 @@ func NewRecStream(rw io.ReadWriter, fragSize int) *RecStream {
 	if fragSize <= 0 {
 		fragSize = DefaultFragmentSize
 	}
-	return &RecStream{rw: rw, wbuf: make([]byte, fragSize)}
+	return &RecStream{rw: rw, wfrag: fragSize}
 }
 
 // PutLong appends a big-endian 4-byte integer to the current record.
@@ -68,6 +80,9 @@ func (r *RecStream) PutBytes(p []byte) error {
 		return r.werr
 	}
 	r.wseal = false
+	if r.wbuf == nil {
+		r.wbuf = make([]byte, r.wfrag)
+	}
 	for len(p) > 0 {
 		n := copy(r.wbuf[r.wpos:], p)
 		r.wpos += n
@@ -194,25 +209,99 @@ func (r *RecStream) GetBytes(p []byte) error {
 			}
 			continue
 		}
-		n := len(p)
-		if n > r.rfrag {
-			n = r.rfrag
+		n := min(len(p), r.rfrag)
+		if err := r.readBody(p[:n]); err != nil {
+			return err
 		}
-		if _, err := io.ReadFull(r.rw, p[:n]); err != nil {
-			return fmt.Errorf("xdr: read record payload: %w", err)
-		}
-		r.rfrag -= n
-		r.rcons += n
 		p = p[n:]
 	}
 	return nil
 }
 
-func (r *RecStream) readFragmentHeader() error {
-	var h [BytesPerUnit]byte
-	if _, err := io.ReadFull(r.rw, h[:]); err != nil {
-		return fmt.Errorf("xdr: read fragment header: %w", err)
+// readAhead is the size of a stream's receive buffer, xdr_rec.c's
+// recvsize. Record marks and short bodies are parsed out of it, so an
+// unpipelined record costs one read and pipelined records share reads.
+// Body tails at least this long bypass it (see readBody).
+const readAhead = 8 << 10
+
+// fill reads at least one byte into the receive buffer, behind the
+// unread bytes it already holds (fill_input_buf). The buffer is
+// allocated on the first read, so a write-only stream never pays for it.
+// An error that comes with data is dropped, as io.ReadFull drops it: the
+// io.Reader contract has the next Read report it again.
+func (r *RecStream) fill() error {
+	if r.rbuf == nil {
+		r.rbuf = make([]byte, readAhead)
 	}
+	r.rend = copy(r.rbuf, r.rbuf[r.rpos:r.rend])
+	r.rpos = 0
+	for {
+		n, err := r.rw.Read(r.rbuf[r.rend:])
+		r.rend += n
+		if n > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// readBody fills p from the current fragment, which must cover it:
+// received bytes first, then the rest from the stream. A tail at least
+// as long as the receive buffer is read straight into p, so bulk bodies
+// are not copied twice; a shorter one goes through the buffer, which
+// may also take in the records behind it.
+func (r *RecStream) readBody(p []byte) error {
+	for len(p) > 0 {
+		if r.rpos == r.rend {
+			if len(p) >= readAhead {
+				n, err := r.rw.Read(p)
+				r.take(n)
+				p = p[n:]
+				if n == 0 && err != nil {
+					return fmt.Errorf("xdr: read record payload: %w", cutShort(err))
+				}
+				continue
+			}
+			if err := r.fill(); err != nil {
+				return fmt.Errorf("xdr: read record payload: %w", cutShort(err))
+			}
+		}
+		n := copy(p, r.rbuf[r.rpos:r.rend])
+		r.rpos += n
+		r.take(n)
+		p = p[n:]
+	}
+	return nil
+}
+
+// take accounts n bytes of the current fragment as consumed.
+func (r *RecStream) take(n int) {
+	r.rfrag -= n
+	r.rcons += n
+}
+
+// cutShort maps the end of the stream inside a fragment to
+// io.ErrUnexpectedEOF: a fragment header promised more bytes.
+func cutShort(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+func (r *RecStream) readFragmentHeader() error {
+	for r.rend-r.rpos < BytesPerUnit {
+		if err := r.fill(); err != nil {
+			if err == io.EOF && r.rend > r.rpos {
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("xdr: read fragment header: %w", err)
+		}
+	}
+	h := r.rbuf[r.rpos : r.rpos+BytesPerUnit]
+	r.rpos += BytesPerUnit
 	u := uint32(h[0])<<24 | uint32(h[1])<<16 | uint32(h[2])<<8 | uint32(h[3])
 	r.rlast = u&lastFragFlag != 0
 	r.rfrag = int(u &^ lastFragFlag)
@@ -224,31 +313,26 @@ func (r *RecStream) readFragmentHeader() error {
 // bytes actually arriving: a fragment header is attacker-controlled, so
 // trusting its length for one big allocation would let a single bogus
 // record claim up to 2 GiB before the read fails. Growing in bounded
-// steps keeps memory proportional to data received.
+// steps keeps memory proportional to data received. It also sets the
+// largest buffer the pool keeps (maxPoolBuf).
 const maxFragStep = 1 << 20
 
 // ReadRecord appends one complete record to dst and returns the extended
-// slice. It reads fragment-at-a-time, so it is the efficient way for a
-// server to slurp a whole request before dispatching.
+// slice. It grows dst once per fragment (or per maxFragStep of a longer
+// one), so it is the efficient way for a server to slurp a whole
+// request before dispatching.
 func (r *RecStream) ReadRecord(dst []byte) ([]byte, error) {
 	for {
 		for r.rfrag > 0 {
-			step := r.rfrag
-			if step > maxFragStep {
-				step = maxFragStep
-			}
+			step := min(r.rfrag, maxFragStep)
 			start := len(dst)
-			dst = append(dst, make([]byte, step)...)
-			if _, err := io.ReadFull(r.rw, dst[start:]); err != nil {
-				return dst, fmt.Errorf("xdr: read record payload: %w", err)
+			dst = slices.Grow(dst, step)[:start+step]
+			if err := r.readBody(dst[start:]); err != nil {
+				return dst, err
 			}
-			r.rcons += step
-			r.rfrag -= step
 		}
 		if r.rinit && r.rlast {
-			r.rinit = false
-			r.rlast = false
-			r.rcons = 0
+			r.endRead()
 			return dst, nil
 		}
 		if err := r.readFragmentHeader(); err != nil {
@@ -258,27 +342,44 @@ func (r *RecStream) ReadRecord(dst []byte) ([]byte, error) {
 }
 
 // SkipRecord discards the rest of the current record and arms the reader
-// for the next one (xdrrec_skiprecord).
+// for the next one (xdrrec_skiprecord). It discards through the receive
+// buffer, a buffer's worth at a time, so a fragment length a peer claims
+// never sizes an allocation.
 func (r *RecStream) SkipRecord() error {
 	for {
-		if r.rfrag > 0 {
-			if _, err := io.CopyN(io.Discard, r.rw, int64(r.rfrag)); err != nil {
-				return fmt.Errorf("xdr: skip record: %w", err)
+		for r.rfrag > 0 {
+			if r.rpos == r.rend {
+				if err := r.fill(); err != nil {
+					return fmt.Errorf("xdr: skip record: %w", cutShort(err))
+				}
 			}
-			r.rcons += r.rfrag
-			r.rfrag = 0
+			n := min(r.rfrag, r.rend-r.rpos)
+			r.rpos += n
+			r.take(n)
 		}
 		if r.rinit && r.rlast {
-			break
+			r.endRead()
+			return nil
 		}
 		if err := r.readFragmentHeader(); err != nil {
 			return err
 		}
 	}
+}
+
+// endRead arms the reader for the next record.
+func (r *RecStream) endRead() {
 	r.rinit = false
 	r.rlast = false
 	r.rcons = 0
-	return nil
+}
+
+// InRecord reports whether any byte of the record being read has been
+// received: consumed, or waiting in the receive buffer. A reader that
+// times out with InRecord false was idle between records; with it true,
+// the peer stalled mid-record, and the stream cannot resume.
+func (r *RecStream) InRecord() bool {
+	return r.rinit || r.rpos < r.rend
 }
 
 // Pos reports bytes consumed (decode) or buffered+sent (encode) within the

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -445,5 +447,150 @@ func TestWriteRecordAfterFlushedFragment(t *testing.T) {
 	}
 	if !bytes.Equal(rec2, []byte("second")) {
 		t.Fatalf("second record: got %q", rec2)
+	}
+}
+
+// countingReader counts Read calls on the reader under a record stream.
+type countingReader struct {
+	io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.Reader.Read(p)
+}
+
+func (c *countingReader) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestReadRecordReadsAhead pins the read-ahead: a short record that
+// arrives whole costs one read (the mark and body used to cost one
+// each), records that arrive together share one read, and a body at
+// least as long as the receive buffer is read straight into the
+// destination once the buffered head is used up.
+func TestReadRecordReadsAhead(t *testing.T) {
+	var wire bytes.Buffer
+	w := NewRecStream(&wire, 0)
+	for i := 0; i < 8; i++ {
+		if err := w.WriteRecord(preframed([]byte("pipelined call"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bulk := bytes.Repeat([]byte{0x5a}, 4*readAhead)
+	if err := w.WriteRecord(preframed(bulk)); err != nil {
+		t.Fatal(err)
+	}
+	first := append([]byte(nil), wire.Bytes()[:RecordMarkLen+len("pipelined call")]...)
+
+	one := &countingReader{Reader: bytes.NewReader(first)}
+	if _, err := NewRecStream(one, 0).ReadRecord(nil); err != nil {
+		t.Fatal(err)
+	}
+	if one.reads != 1 {
+		t.Fatalf("one short record took %d reads, want 1", one.reads)
+	}
+
+	cr := &countingReader{Reader: &wire}
+	r := NewRecStream(cr, 0)
+	for i := 0; i < 8; i++ {
+		rec, err := r.ReadRecord(nil)
+		if err != nil || string(rec) != "pipelined call" {
+			t.Fatalf("record %d = %q, %v", i, rec, err)
+		}
+	}
+	if cr.reads != 1 {
+		t.Fatalf("8 records arriving together took %d reads, want 1", cr.reads)
+	}
+	rec, err := r.ReadRecord(nil)
+	if err != nil || !bytes.Equal(rec, bulk) {
+		t.Fatalf("bulk record: %d bytes, %v", len(rec), err)
+	}
+	if cr.reads != 2 {
+		t.Fatalf("bulk tail took %d more reads, want 1", cr.reads-1)
+	}
+}
+
+// TestInRecord pins the query the idle reaper relies on: it is true as
+// soon as any byte of the next record is received, even when that byte
+// only sits in the receive buffer behind a completed record.
+func TestInRecord(t *testing.T) {
+	var wire bytes.Buffer
+	w := NewRecStream(&wire, 0)
+	for _, p := range []string{"first", "second"} {
+		if err := w.WriteRecord(preframed([]byte(p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head := wire.Bytes()[:RecordMarkLen+len("first")+2] // the first record and 2 mark bytes
+	r := NewRecStream(&rwPair{Reader: bytes.NewReader(head)}, 0)
+	if r.InRecord() {
+		t.Fatal("InRecord true before any read")
+	}
+	if _, err := r.ReadRecord(nil); err != nil {
+		t.Fatal(err)
+	}
+	if !r.InRecord() {
+		t.Fatal("InRecord false with part of the next mark buffered")
+	}
+
+	r = NewRecStream(&rwPair{Reader: bytes.NewReader(wire.Bytes()[:RecordMarkLen+len("first")])}, 0)
+	if _, err := r.ReadRecord(nil); err != nil {
+		t.Fatal(err)
+	}
+	if r.InRecord() {
+		t.Fatal("InRecord true between records with nothing buffered")
+	}
+	var v int32
+	if err := r.GetLong(&v); err == nil || r.InRecord() {
+		t.Fatalf("GetLong at end of stream: err %v, InRecord %v; want an error and false", err, r.InRecord())
+	}
+}
+
+// TestSkipRecordBoundedMemory: skipping a fragment that claims nearly
+// 2 GiB must not size any allocation by that claim; the discard runs
+// through the fixed receive buffer.
+func TestSkipRecordBoundedMemory(t *testing.T) {
+	data := append([]byte{0x7f, 0xff, 0xff, 0xff}, make([]byte, 64<<10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := NewRecStream(&rwPair{Reader: bytes.NewReader(data)}, 0).SkipRecord()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("SkipRecord of a truncated fragment: %v, want unexpected EOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*readAhead {
+		t.Fatalf("SkipRecord allocated %d bytes for a %d-byte input", grew, len(data))
+	}
+}
+
+// TestReadRecordReaderShapes runs the read-ahead over readers that
+// return one byte at a time, half of what is asked, and the final error
+// together with the last data: every record arrives intact, and the end
+// of the stream is then reported at the next record boundary.
+func TestReadRecordReaderShapes(t *testing.T) {
+	var wire bytes.Buffer
+	w := NewRecStream(&wire, 0)
+	want := [][]byte{[]byte("short"), bytes.Repeat([]byte{7}, 3*readAhead), []byte("last")}
+	for _, p := range want {
+		if err := w.WriteRecord(preframed(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shapes := map[string]func(io.Reader) io.Reader{
+		"one byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+		"data+err": iotest.DataErrReader,
+	}
+	for name, shape := range shapes {
+		r := NewRecStream(&rwPair{Reader: shape(bytes.NewReader(wire.Bytes()))}, 0)
+		for i, p := range want {
+			rec, err := r.ReadRecord(nil)
+			if err != nil || !bytes.Equal(rec, p) {
+				t.Fatalf("%s: record %d: %d bytes, %v", name, i, len(rec), err)
+			}
+		}
+		if _, err := r.ReadRecord(nil); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: after the last record: %v, want EOF", name, err)
+		}
 	}
 }
