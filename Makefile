@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build xcompile test race bench bench-json bench-diff batch-smoke chaos chaos-smoke fuzz genstubs fmt vet analyze perfbench ci
+.PHONY: all build xcompile test race stress bench bench-json bench-diff batch-smoke chaos chaos-smoke fuzz genstubs fmt vet analyze perfbench ci
 
 all: build
 
@@ -20,6 +20,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Reuse races show only under some interleavings, so the tests of the
+# recycled pieces run many times under the race detector: the client's
+# reply slots (a late reply or a stale timer tick must never reach the
+# next call on a slot) and the server's per-connection workers (never
+# more than the worker bound, none left after the connection closes).
+stress:
+	$(GO) test -race -count=50 -run 'TestLateReplyDroppedAfterSlotReuse|TestStaleTickDoesNotTimeOutNextCall|TestUnregisterDrainsFiredTick' ./internal/client
+	$(GO) test -race -count=50 -run 'TestConnWorkersBounded' ./internal/server
 
 # Benchmark smoke run: one iteration of every benchmark, with allocation
 # counts, matching the CI step. For real numbers drop -benchtime=1x.
@@ -153,4 +162,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet analyze build xcompile race perfbench bench genstubs bench-diff batch-smoke chaos chaos-smoke fuzz
+ci: fmt vet analyze build xcompile race stress perfbench bench genstubs bench-diff batch-smoke chaos chaos-smoke fuzz

@@ -15,11 +15,13 @@
 //
 // Unlike the original one-call-at-a-time clients, both transports allow
 // many in-flight calls per connection: a single reader goroutine
-// demultiplexes replies on their XID and routes each to the per-call
-// channel registered by the issuing goroutine. Call is therefore safe —
-// and useful — to invoke from many goroutines at once: over TCP the call
-// records are pipelined onto one record-marked stream, and over datagram
-// transports each call retransmits independently.
+// demultiplexes replies on their XID and routes each to the reply slot
+// registered by the issuing goroutine. Slots (a reply channel and a
+// deadline timer) are recycled across calls, so a call creates neither.
+// Call is therefore safe — and useful — to invoke from many goroutines
+// at once: over TCP the call records are pipelined onto one
+// record-marked stream, and over datagram transports each call
+// retransmits independently.
 //
 // Argument and result marshalers are pluggable (the Marshal type), which
 // is what lets the benchmark harness swap the generic micro-layered stubs
@@ -160,17 +162,36 @@ func (c *Config) fill() {
 // Reply demultiplexer
 
 // demux routes reply buffers from the transport's reader goroutine to the
-// per-call channels registered by issuing goroutines, keyed on XID. It is
-// the concurrency core shared by both transports.
+// reply slots registered by issuing goroutines, keyed on XID. It is the
+// concurrency core shared by both transports.
 type demux struct {
-	mu    sync.Mutex // guards calls, err
-	calls map[uint32]chan *[]byte
+	mu    sync.Mutex // guards calls, free, err
+	calls map[uint32]*slot
+	free  []*slot       // released slots, drained, for the next calls
 	err   error         // terminal transport error; set once
 	done  chan struct{} // closed when err is set
 }
 
+// slot is one call's reply wait: the channel its reply is delivered on
+// and the timer of its deadline. Slots are recycled, so a call allocates
+// neither. A slot is owned by the call that registered it until
+// unregister takes it back; only then is it drained and reused.
+type slot struct {
+	ch    chan *[]byte // capacity 1: a reply, or nothing
+	timer *time.Timer  // the call deadline; nil until first armed
+}
+
+// arm starts the slot's deadline timer for deadline.
+func (s *slot) arm(deadline time.Time) {
+	if s.timer == nil {
+		s.timer = time.NewTimer(time.Until(deadline))
+		return
+	}
+	s.timer.Reset(time.Until(deadline))
+}
+
 func newDemux() *demux {
-	return &demux{calls: make(map[uint32]chan *[]byte), done: make(chan struct{})}
+	return &demux{calls: make(map[uint32]*slot), done: make(chan struct{})}
 }
 
 // errXIDInFlight reports a registration colliding with a call already
@@ -178,15 +199,16 @@ func newDemux() *demux {
 // absorbs it by advancing to the next XID.
 var errXIDInFlight = errors.New("client: xid already in flight")
 
-// register installs a reply channel for xid. The channel stays registered
-// until unregister, so duplicate replies and ill-formed datagrams can be
-// absorbed without losing the slot. A second registration on an XID that
-// is still in flight is rejected: silently replacing the slot — what an
-// unchecked map store would do — loses the first call's channel, and a
-// reply for that XID would then be delivered to the wrong waiter. The
-// collision is reachable once the 32-bit counter wraps on a long-lived
-// connection while a slow call from the previous epoch is still waiting.
-func (d *demux) register(xid uint32) (chan *[]byte, error) {
+// register installs a reply slot for xid, reusing a released one when
+// there is one. The slot stays registered until unregister, so duplicate
+// replies and ill-formed datagrams can be absorbed without losing it. A
+// second registration on an XID that is still in flight is rejected:
+// silently replacing the slot — what an unchecked map store would do —
+// loses the first call's slot, and a reply for that XID would then be
+// delivered to the wrong waiter. The collision is reachable once the
+// 32-bit counter wraps on a long-lived connection while a slow call from
+// the previous epoch is still waiting.
+func (d *demux) register(xid uint32) (*slot, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.err != nil {
@@ -195,24 +217,48 @@ func (d *demux) register(xid uint32) (chan *[]byte, error) {
 	if _, busy := d.calls[xid]; busy {
 		return nil, errXIDInFlight
 	}
-	ch := make(chan *[]byte, 1)
-	d.calls[xid] = ch
-	return ch, nil
+	var s *slot
+	if n := len(d.free); n > 0 {
+		s = d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+	} else {
+		s = &slot{ch: make(chan *[]byte, 1)}
+	}
+	d.calls[xid] = s
+	return s, nil
 }
 
-// unregister removes the slot and reclaims any undelivered reply buffer.
+// unregister removes xid's slot, reclaims any undelivered reply buffer,
+// stops the deadline timer and releases the slot for reuse. Removing it
+// from calls under mu is what makes the reuse safe: deliver sends only
+// under mu to a slot it finds in calls, so once removed no reply for
+// xid can reach the slot, and the drain below empties it for good. The
+// drain and the timer stop never block, so they run under mu too.
 func (d *demux) unregister(xid uint32) {
 	d.mu.Lock()
-	ch := d.calls[xid]
+	defer d.mu.Unlock()
+	s := d.calls[xid]
+	if s == nil {
+		return
+	}
 	delete(d.calls, xid)
-	d.mu.Unlock()
-	if ch != nil {
+	select {
+	case bp := <-s.ch:
+		xdr.PutBuf(bp)
+	default:
+	}
+	if s.timer != nil && !s.timer.Stop() {
+		// The timer fired. Under go 1.22 timer semantics the tick may
+		// still sit in the channel; drop it so the next call does not
+		// read it. A tick that slips past this is caught by await,
+		// which checks the deadline on every tick.
 		select {
-		case bp := <-ch:
-			xdr.PutBuf(bp)
+		case <-s.timer.C:
 		default:
 		}
 	}
+	d.free = append(d.free, s)
 }
 
 // deliver hands a pooled reply buffer to the call waiting on xid. It
@@ -222,12 +268,12 @@ func (d *demux) unregister(xid uint32) {
 func (d *demux) deliver(xid uint32, bp *[]byte) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ch, ok := d.calls[xid]
+	s, ok := d.calls[xid]
 	if !ok {
 		return false
 	}
 	select {
-	case ch <- bp:
+	case s.ch <- bp:
 		return true
 	default:
 		return false
@@ -294,14 +340,14 @@ func (l *lifecycle) beginClose() bool {
 // skipping over XIDs still claimed by in-flight calls from a previous
 // counter epoch (post-wrap collisions). The loop terminates because
 // fewer than 2^32 calls can be in flight at once.
-func registerCall(xid *atomic.Uint32, dmx *demux) (uint32, chan *[]byte, error) {
+func registerCall(xid *atomic.Uint32, dmx *demux) (uint32, *slot, error) {
 	for {
 		id := xid.Add(1)
-		ch, err := dmx.register(id)
+		s, err := dmx.register(id)
 		if errors.Is(err, errXIDInFlight) {
 			continue
 		}
-		return id, ch, err
+		return id, s, err
 	}
 }
 
@@ -369,10 +415,10 @@ func (c *core) marshalReq(r callReq, xid, proc uint32, prefix int) (*[]byte, err
 		return marshalCall(&c.cfg, c.tmpl, xid, proc, r.args, prefix)
 	}
 	bp := xdr.GetBuf(c.cfg.BufSize + prefix)
-	var bs xdr.BufStream
-	bs.SetBuffer((*bp)[:prefix])
-	err := r.cc.Append(&bs, xid, r.argp)
-	*bp = bs.Buffer() // keep any growth pooled
+	e := xdr.GetEnc((*bp)[:prefix])
+	err := r.cc.Append(&e.BS, xid, r.argp)
+	*bp = e.BS.Buffer() // keep any growth pooled
+	xdr.PutEnc(e)
 	if err != nil {
 		xdr.PutBuf(bp)
 		return nil, fmt.Errorf("client: marshal args: %w", err)
@@ -660,19 +706,20 @@ func (c *core) doCall(ctx context.Context, proc uint32, req callReq, sink replyS
 }
 
 // await is the reply wait: it returns the decoded reply once one
-// arrives on ch, or fails the call when its deadline passes, ctx ends,
-// or dmx fails. Each failure first makes a last drainReply check, so a
-// reply that raced it still wins. broken reports a dmx failure: err is
-// then ErrClosed or the demultiplexer's terminal error, and a stream
-// client may retry on a new connection.
+// arrives on s's channel, or fails the call when its deadline passes
+// (on s's recycled timer), ctx ends, or dmx fails. Each failure first
+// makes a last drainReply check, so a reply that raced it still wins.
+// broken reports a dmx failure: err is then ErrClosed or the
+// demultiplexer's terminal error, and a stream client may retry on a
+// new connection.
 //
 // rt, when non-nil, is the datagram retransmit schedule, run on a timer
 // of its own; an ill-formed reply is then ignored and the wait goes on,
 // as clntudp_call ignored undecodable datagrams. Without it (a stream)
 // an ill-formed reply fails the call.
-func (c *core) await(ctx context.Context, dmx *demux, ch chan *[]byte, sink *replySink, deadline time.Time, rt *retransmit) (broken bool, err error) {
-	overall := time.NewTimer(time.Until(deadline))
-	defer overall.Stop()
+func (c *core) await(ctx context.Context, dmx *demux, s *slot, sink *replySink, deadline time.Time, rt *retransmit) (broken bool, err error) {
+	s.arm(deadline)
+	ch := s.ch
 	var tick <-chan time.Time
 	var retrans *time.Timer
 	if rt != nil {
@@ -701,7 +748,13 @@ func (c *core) await(ctx context.Context, dmx *demux, ch chan *[]byte, sink *rep
 				continue
 			}
 			err = serr
-		case <-overall.C:
+		case <-s.timer.C:
+			if time.Now().Before(deadline) {
+				// A stale tick from the slot's previous call (go 1.22
+				// timers can deliver one after Stop): wait on.
+				s.arm(deadline)
+				continue
+			}
 		case <-ctx.Done():
 		case <-dmx.done:
 			broken, err = true, dmx.error()
@@ -782,7 +835,7 @@ func NewUDP(conn net.PacketConn, server net.Addr, cfg Config) *UDP {
 func (c *UDP) roundTrip(ctx context.Context, proc uint32, req callReq, sink replySink, deadline time.Time) error {
 	c.reader.Do(func() { go c.readLoop() })
 
-	xid, ch, err := registerCall(&c.xid, c.dmx)
+	xid, s, err := registerCall(&c.xid, c.dmx)
 	if err != nil {
 		return err
 	}
@@ -807,7 +860,7 @@ func (c *UDP) roundTrip(ctx context.Context, proc uint32, req callReq, sink repl
 	if err := c.send(*reqBuf); err != nil {
 		return err
 	}
-	_, err = c.await(ctx, c.dmx, ch, &sink, deadline, &retransmit{c: c, req: *reqBuf, sent: 1})
+	_, err = c.await(ctx, c.dmx, s, &sink, deadline, &retransmit{c: c, req: *reqBuf, sent: 1})
 	return err
 }
 
@@ -1209,7 +1262,7 @@ func (c *TCP) attemptOnce(ctx context.Context, proc uint32, req callReq, sink *r
 	}
 	tc.start(c)
 
-	xid, ch, rerr := registerCall(&c.xid, tc.dmx)
+	xid, s, rerr := registerCall(&c.xid, tc.dmx)
 	if rerr != nil {
 		// The generation died before the call registered: nothing sent.
 		if c.isClosed() {
@@ -1245,7 +1298,7 @@ func (c *TCP) attemptOnce(ctx context.Context, proc uint32, req callReq, sink *r
 	// A generation that broke with the client still open had the request
 	// handed to its wire: the server may have executed it even though no
 	// reply arrived.
-	broken, err := c.await(ctx, tc.dmx, ch, sink, deadline, nil)
+	broken, err := c.await(ctx, tc.dmx, s, sink, deadline, nil)
 	return !broken || errors.Is(err, ErrClosed), err, true
 }
 

@@ -9,10 +9,11 @@
 // Unlike the original single-threaded svc_run loop, dispatch is
 // concurrent: datagrams fan out to a bounded worker pool (an in-flight
 // set keeps retransmissions of an executing call from running twice),
-// and each stream connection serves its pipelined requests with a
-// bounded number of in-flight handlers whose reply records are serialized
-// back onto the stream. Request and reply buffers come from the shared
-// XDR buffer pool, keeping the hot path allocation-free.
+// and each stream connection serves its pipelined requests on a bounded
+// set of persistent workers of its own, whose reply records are
+// serialized back onto the stream. Request and reply buffers come from
+// the shared XDR buffer pool and each worker owns its reply stream, so
+// a call starts no goroutine and allocates no buffer.
 //
 // In the five-layer specialization stack (see DESIGN.md) this is layer
 // 4, the transport endpoint: the service-side twin of internal/client,
@@ -219,10 +220,11 @@ func WithDatagramBatch(n int) Option {
 }
 
 // WithWorkers bounds the number of concurrently executing handlers per
-// transport: the size of the datagram worker pool and the in-flight cap
-// per stream connection. The default is max(8, GOMAXPROCS): handlers may
-// block on locks or downstream I/O, so the bound is a pipelining depth,
-// not a parallelism count, and must stay useful on single-CPU hosts.
+// transport: the size of the datagram worker pool, and the most workers
+// one stream connection starts (lazily, as its pipeline deepens). The
+// default is max(8, GOMAXPROCS): handlers may block on locks or
+// downstream I/O, so the bound is a pipelining depth, not a parallelism
+// count, and must stay useful on single-CPU hosts.
 func WithWorkers(n int) Option {
 	return func(s *Server) {
 		if n < 1 {
@@ -339,12 +341,15 @@ func (s *Server) dispatch(h *rpcmsg.CallHeader) (Proc, rpcmsg.ReplyHeader) {
 // one word instead of walking the generic header encoder.
 var successTemplate = rpcmsg.MustReplyTemplate(rpcmsg.None())
 
-// handleCall decodes one request from req and produces the reply bytes,
+// handle decodes one request from req and produces the reply bytes,
 // appending after replyBuf's existing contents (the TCP path reserves
 // the record mark there) and growing the backing array when the reply
-// is larger. It is shared by the UDP and TCP paths and safe to run from
-// many workers at once.
-func (s *Server) handleCall(req []byte, replyBuf []byte) ([]byte, error) {
+// is larger. bs is the calling worker's own reply stream, handed to
+// fused handlers so that no stream is allocated per call; it holds no
+// reference to the reply once handle returns. It is shared by the
+// UDP and TCP paths and safe to run from many workers at once, each
+// with its own bs.
+func (s *Server) handle(req, replyBuf []byte, bs *xdr.BufStream) ([]byte, error) {
 	// Fused fast path: locate the routing triple and argument bytes at
 	// fixed offsets and jump straight to the per-procedure specialized
 	// handler, skipping the generic header walk and dispatch. Anything
@@ -356,7 +361,7 @@ func (s *Server) handleCall(req []byte, replyBuf []byte) ([]byte, error) {
 	if s.typedCount.Load() != 0 {
 		if xid, prog, vers, proc, body, ok := rpcmsg.CallBody(req); ok {
 			if th := s.typedFor(prog, vers, proc); th != nil {
-				return s.handleTyped(th, body, xid, replyBuf)
+				return s.handleTyped(th, body, xid, replyBuf, bs)
 			}
 		}
 	}
@@ -411,15 +416,17 @@ func (s *Server) handleCall(req []byte, replyBuf []byte) ([]byte, error) {
 
 // handleTyped runs one call through its fused handler: the success
 // reply (precompiled header + result plan) is appended in one pass by
-// the handler itself; error outcomes rewind the buffer and marshal the
-// same error replies the generic path produces.
-func (s *Server) handleTyped(th TypedProc, body []byte, xid uint32, replyBuf []byte) ([]byte, error) {
+// the handler itself onto the worker's stream bs; error outcomes rewind
+// the buffer and marshal the same error replies the generic path
+// produces.
+func (s *Server) handleTyped(th TypedProc, body []byte, xid uint32, replyBuf []byte, bs *xdr.BufStream) ([]byte, error) {
 	base := len(replyBuf)
-	var bs xdr.BufStream
 	bs.SetBuffer(replyBuf)
-	err := th(body, xid, &bs)
+	err := th(body, xid, bs)
+	out := bs.Buffer()
+	bs.SetBuffer(nil)
 	if err == nil {
-		return bs.Buffer(), nil
+		return out, nil
 	}
 	stat := rpcmsg.SystemErr
 	if errors.Is(err, ErrGarbageArgs) {
@@ -427,7 +434,7 @@ func (s *Server) handleTyped(th TypedProc, body []byte, xid uint32, replyBuf []b
 	}
 	// Rewind past anything a partially-failed handler wrote, keeping
 	// the reserved prefix (the TCP record mark) in place.
-	e := xdr.GetEnc(bs.Buffer()[:base])
+	e := xdr.GetEnc(out[:base])
 	defer xdr.PutEnc(e)
 	rh := rpcmsg.ErrorReply(xid, stat)
 	if err := rh.Marshal(&e.X); err != nil {
@@ -482,8 +489,9 @@ func (s *Server) ServeUDP(conn net.PacketConn) error {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
+			var bs xdr.BufStream
 			for d := range jobs {
-				s.answerDatagram(sd, d.from, *d.req)
+				s.answerDatagram(sd, d.from, *d.req, &bs)
 				xdr.PutBuf(d.req)
 			}
 		}()
@@ -598,7 +606,7 @@ func (s *Server) IdleDrops() uint64 { return s.idleDrops.Load() }
 // Conns reports the number of stream connections currently being served.
 func (s *Server) Conns() int { return int(s.conns.Load()) }
 
-func (s *Server) answerDatagram(sd replySender, from net.Addr, req []byte) {
+func (s *Server) answerDatagram(sd replySender, from net.Addr, req []byte, bs *xdr.BufStream) {
 	// The pooled reply buffer doubles as the destination for cache hits:
 	// get copies the cached bytes into it under the shard lock (the
 	// cache's own buffers are recycled by concurrent evictions, so they
@@ -642,7 +650,7 @@ func (s *Server) answerDatagram(sd replySender, from net.Addr, req []byte) {
 			}
 		}
 	}
-	out, err := s.handleCall(req, *rp)
+	out, err := s.handle(req, *rp, bs)
 	if err != nil {
 		return // undecodable datagram: drop silently
 	}
@@ -675,8 +683,8 @@ func (s *Server) answerDatagram(sd replySender, from net.Addr, req []byte) {
 }
 
 // ServeTCP accepts stream connections and answers record-marked calls on
-// each, one goroutine per connection. It blocks until the listener or
-// server is closed.
+// each, one read loop per connection with its own workers. It blocks
+// until the listener or server is closed.
 //
 // Transient accept failures (ECONNABORTED, EMFILE, and anything else the
 // runtime reports as temporary) are retried with capped exponential
@@ -744,82 +752,118 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 	}
 }
 
-// serveConn serves one stream connection. Pipelined requests execute
-// concurrently — up to s.workers handlers in flight — and the reply
-// records leave through a group-commit batcher: each finishing handler
-// either writes immediately (uncontended) or queues behind the handler
-// currently inside the write syscall, whose next vectored write carries
-// every reply that accumulated meanwhile. A slow call never blocks the
-// replies of later, faster calls (the client demultiplexes them by
-// XID), and under pipelining many replies share one syscall.
+// streamConn is what one stream connection's read loop shares with its
+// workers.
+type streamConn struct {
+	conn net.Conn
+	wb   *xdr.RecBatcher
+	// reqs hands each request record to an idle worker. It is unbuffered
+	// so that a send completes only into a worker's hands: a blocked send
+	// is what bounds the handlers in flight.
+	reqs    chan *[]byte
+	workers sync.WaitGroup
+	// inFlight/completed drive the idle reaper: a timeout only reaps when
+	// no handler is running and none finished during the armed window.
+	// Workers bump completed before dropping inFlight, so the reaper can
+	// never observe "nothing running, nothing finished" mid-handoff.
+	inFlight, completed atomic.Int64
+}
+
+// serveConn serves one stream connection, as svc_tcp served each
+// connection from one loop, but with up to s.workers calls in flight.
+// The read loop hands each request record to an idle worker of this
+// connection; it starts another worker only when none is idle and
+// fewer than s.workers exist, and otherwise blocks until one is free.
+// Workers live as long as the connection, so a call starts no
+// goroutine. The reply records leave through a group-commit batcher:
+// each finishing worker either writes immediately (uncontended) or
+// queues behind the worker currently inside the write syscall, whose
+// next vectored write carries every reply that accumulated meanwhile.
+// A slow call never blocks the replies of later, faster calls (the
+// client demultiplexes them by XID), and under pipelining many replies
+// share one syscall.
 func (s *Server) serveConn(conn net.Conn) {
-	// Close the connection before waiting for in-flight handlers (defers
-	// run LIFO): a worker blocked writing a reply to a peer that stopped
-	// reading is only unblocked by the close, so the other order would
-	// wedge this goroutine forever on a stalled client.
-	var calls sync.WaitGroup
-	defer calls.Wait()
+	c := &streamConn{conn: conn, reqs: make(chan *[]byte)}
+	// Defers run LIFO: closing reqs ends the idle workers, and the
+	// connection is closed before waiting for the busy ones, because a
+	// worker blocked writing a reply to a peer that stopped reading is
+	// only unblocked by the close; the other order would wedge this
+	// goroutine forever on a stalled client.
+	defer c.workers.Wait()
 	defer conn.Close()
+	defer close(c.reqs)
 	rrec := xdr.NewRecStream(conn, 0)
-	wb := xdr.NewRecBatcher(xdr.NewRecStream(conn, 0))
+	c.wb = xdr.NewRecBatcher(xdr.NewRecStream(conn, 0))
 	// A failed reply write leaves the record stream unusable; close the
 	// connection so the read loop exits and the peer fails fast instead
 	// of waiting out its call timeouts.
-	wb.OnError = func(error) { _ = conn.Close() }
+	c.wb.OnError = func(error) { _ = conn.Close() }
 	if s.noWBatch {
-		wb.MaxBatch = 1
+		c.wb.MaxBatch = 1
 	}
 	// Flush invariant: every record handed to wb is flushed by some
-	// handler goroutine before it returns (the leader loops until the
-	// queue is empty, and a record queued after the leader exits makes
-	// its own writer the new leader), and calls.Wait holds serveConn
-	// open until every handler returns — so no reply is stranded by
-	// connection teardown.
-	// inFlight/completed drive the idle reaper: a timeout only reaps when
-	// no handler is running and none finished during the armed window.
-	// Handlers bump completed before dropping inFlight, so the reaper can
-	// never observe "nothing running, nothing finished" mid-handoff.
-	var inFlight, completed atomic.Int64
-	sem := make(chan struct{}, s.workers)
+	// worker before that worker takes its next record or exits (the
+	// leader loops until the queue is empty, and a record queued after
+	// the leader exits makes its own writer the new leader), and
+	// workers.Wait holds serveConn open until every worker exits — so no
+	// reply is stranded by connection teardown.
+	started := 0
 	for {
 		// Read the full request record via the record layer; unlike a
 		// datagram, a TCP record may exceed the datagram buffer size,
 		// so the buffer grows as needed.
 		bp := xdr.GetBuf(s.bufSize)
-		req, err := s.readRecordIdle(conn, rrec, (*bp)[:0], &inFlight, &completed)
+		req, err := s.readRecordIdle(conn, rrec, (*bp)[:0], &c.inFlight, &c.completed)
 		*bp = req
 		if err != nil {
 			xdr.PutBuf(bp)
 			return // connection closed, broken framing, or idle-reaped
 		}
-		sem <- struct{}{}
-		calls.Add(1)
-		inFlight.Add(1)
-		go func(bp *[]byte) {
-			defer calls.Done()
-			defer func() { <-sem }()
-			defer func() { completed.Add(1); inFlight.Add(-1) }()
-			defer xdr.PutBuf(bp)
-			rp := xdr.GetBuf(s.bufSize)
-			// Reserve the record mark at the head of the reply buffer:
-			// handleCall marshals the reply behind it and the batcher
-			// patches the mark in place, so the fully-formed reply goes
-			// to the socket with no second copy.
-			out, err := s.handleCall(*bp, (*rp)[:xdr.RecordMarkLen])
-			if err != nil {
-				xdr.PutBuf(rp)
-				// Undecodable call header: the stream is suspect and there
-				// is no XID to reply to; close the connection so the peer
-				// fails fast, as the original svc_tcp loop did.
-				_ = conn.Close()
-				return
-			}
+		c.inFlight.Add(1)
+		select {
+		case c.reqs <- bp: // an idle worker took it
+			continue
+		default:
+		}
+		if started < s.workers {
+			started++
+			c.workers.Add(1)
+			go s.connWorker(c, bp)
+			continue
+		}
+		c.reqs <- bp
+	}
+}
+
+// connWorker is one of a stream connection's workers: it answers bp,
+// then every record the read loop hands it, until the read loop ends.
+// Its reply stream lives as long as it does.
+func (s *Server) connWorker(c *streamConn, bp *[]byte) {
+	defer c.workers.Done()
+	var bs xdr.BufStream
+	for ok := true; ok; bp, ok = <-c.reqs {
+		rp := xdr.GetBuf(s.bufSize)
+		// Reserve the record mark at the head of the reply buffer: handle
+		// marshals the reply behind it and the batcher patches the mark
+		// in place, so the fully-formed reply goes to the socket with no
+		// second copy.
+		out, err := s.handle(*bp, (*rp)[:xdr.RecordMarkLen], &bs)
+		if err != nil {
+			xdr.PutBuf(rp)
+			// Undecodable call header: the stream is suspect and there is
+			// no XID to reply to; close the connection so the peer fails
+			// fast, as the original svc_tcp loop did.
+			_ = c.conn.Close()
+		} else {
 			*rp = out
 			// Ownership of rp transfers to the batcher, which releases it
 			// once the batch carrying it is written (or dropped on a
-			// poisoned stream). Write errors are handled by OnError above.
-			_ = wb.Write(rp)
-		}(bp)
+			// poisoned stream). Write errors are handled by OnError.
+			_ = c.wb.Write(rp)
+		}
+		xdr.PutBuf(bp)
+		c.completed.Add(1)
+		c.inFlight.Add(-1)
 	}
 }
 

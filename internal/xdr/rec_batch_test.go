@@ -268,3 +268,58 @@ func TestRecBatcherUncontendedWriteOneSyscall(t *testing.T) {
 		t.Fatal("batched wire bytes diverge from WriteRecord")
 	}
 }
+
+// TestRecBatcherPendingDrains: a flush split by MaxBatch writes every
+// record in order, and Pending reads 0 after it; after a write failure
+// the queued records are dropped and Pending reads 0 too.
+func TestRecBatcherPendingDrains(t *testing.T) {
+	payloads := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc"), []byte("dddd"), []byte("e")}
+	var want bytes.Buffer
+	uw := NewRecStream(&rwPair{Writer: &want}, 0)
+	for _, p := range payloads {
+		if err := uw.WriteRecord(preframed(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var cw countingWriter
+	var wire bytes.Buffer
+	b := NewRecBatcher(NewRecStream(&rwPair{Writer: io.MultiWriter(&cw, &wire)}, 0))
+	b.MaxBatch = 2
+	for round := 0; round < 2; round++ {
+		wire.Reset()
+		cw.writes = 0
+		for _, p := range payloads {
+			if err := b.Queue(pooled(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n := b.Pending(); n != 0 {
+			t.Fatalf("round %d: %d records pending after Flush", round, n)
+		}
+		if cw.writes != 3 || !bytes.Equal(wire.Bytes(), want.Bytes()) {
+			t.Fatalf("round %d: %d writes, wire %q; want 3 writes, wire %q", round, cw.writes, wire.Bytes(), want.Bytes())
+		}
+	}
+
+	f := NewRecBatcher(NewRecStream(&rwPair{Writer: &failingWriter{errors.New("peer gone")}}, 0))
+	for _, p := range payloads {
+		if err := f.Queue(pooled(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Flush(); err == nil {
+		t.Fatal("Flush over a failing writer succeeded")
+	}
+	if n := f.Pending(); n != 0 {
+		t.Fatalf("%d records pending after a failed Flush", n)
+	}
+	if err := f.Write(pooled([]byte("late"))); !errors.Is(err, ErrRejected) {
+		t.Fatalf("Write after failure = %v, want ErrRejected", err)
+	}
+	if n := f.Pending(); n != 0 {
+		t.Fatalf("%d records pending after a rejected Write", n)
+	}
+}
